@@ -9,7 +9,7 @@
 //! * `tokenize` — [`rbd_html::Tokenizer`] alone, over 16 KiB – 1 MiB
 //!   documents.
 //! * `tokenize_tree` — tokenize plus tag-tree construction
-//!   ([`TagTreeBuilder::build_from_tokens`]): the full hot path every
+//!   ([`TagTreeBuilder::try_build_from_tokens`]): the full hot path every
 //!   extraction pays before the heuristics run.
 //!
 //! ## The regression gate
@@ -108,7 +108,7 @@ fn bench_tokenize_tree(h: &mut Harness, docs: &[(usize, String)]) {
         group.bench_function(&format!("{kb}KiB"), |b| {
             b.iter(|| {
                 let tokens = Tokenizer::new(black_box(doc)).run();
-                black_box(builder.build_from_tokens(doc.len(), &tokens))
+                black_box(builder.try_build_from_tokens(doc.len(), &tokens))
             });
         });
     }

@@ -83,7 +83,7 @@ fn bench_integration_ablation(h: &mut Harness) {
     group.bench_function("integrated_single_pass", |b| {
         b.iter(|| {
             let integrated = extractor
-                .discover_and_recognize(&doc.html, &recognizer)
+                .discover_and_recognize(&doc.html, &recognizer, &rbd_trace::NullSink)
                 .expect("records");
             black_box(integrated.record_tables())
         });

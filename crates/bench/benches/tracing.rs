@@ -1,6 +1,6 @@
-//! Cost of observability: extraction throughput with no sink configured
-//! (the [`rbd_trace::NullSink`] fast path), and with a live
-//! [`rbd_trace::CollectingSink`] recording the full audit trail.
+//! Cost of observability: extraction throughput reporting to the disabled
+//! [`rbd_trace::NullSink`] (what the untraced entry points pass), and to a
+//! live [`rbd_trace::CollectingSink`] recording the full audit trail.
 //!
 //! The NullSink path costs one `enabled()` branch per event site plus the
 //! unconditional span/counter no-ops — the gate is < 1 % overhead against
@@ -14,8 +14,8 @@ use rbd_bench::{black_box, Harness};
 use rbd_core::{ExtractorConfig, RecordExtractor};
 use rbd_corpus::{generate_document, sites, Domain};
 use rbd_ontology::domains;
-use rbd_trace::CollectingSink;
-use std::sync::Arc;
+use rbd_tagtree::TagTreeBuilder;
+use rbd_trace::{CollectingSink, NullSink, TraceSink};
 use std::time::Instant;
 
 const DOMAINS: [Domain; 4] = [
@@ -44,35 +44,39 @@ fn ontology_for(domain: Domain) -> rbd_ontology::Ontology {
     }
 }
 
-fn extractors(sink: Option<&Arc<CollectingSink>>) -> Vec<RecordExtractor> {
+fn extractors() -> Vec<RecordExtractor> {
     DOMAINS
         .iter()
         .map(|&domain| {
-            let mut config = ExtractorConfig::default().with_ontology(ontology_for(domain));
-            if let Some(sink) = sink {
-                config = config.with_sink(Arc::clone(sink) as Arc<dyn rbd_trace::TraceSink>);
-            }
+            let config = ExtractorConfig::default().with_ontology(ontology_for(domain));
             RecordExtractor::new(config).expect("compiles")
         })
         .collect()
 }
 
-fn sweep(extractors: &[RecordExtractor], docs: &[String]) {
+fn sweep(extractors: &[RecordExtractor], docs: &[String], sink: &dyn TraceSink) {
     for (extractor, html) in extractors.iter().zip(docs) {
-        black_box(extractor.extract_records(html).expect("records"));
+        black_box(
+            extractor
+                .extract_records_traced(html, sink)
+                .expect("records"),
+        );
     }
 }
 
 fn bench_sink_variants(h: &mut Harness, docs: &[String]) {
-    let baseline = extractors(None);
-    let collecting_sink = Arc::new(CollectingSink::new());
-    let collecting = extractors(Some(&collecting_sink));
+    let extractors = extractors();
+    let collecting_sink = CollectingSink::new();
 
     let bytes: usize = docs.iter().map(String::len).sum();
     let mut group = h.group("sink");
     group.throughput_bytes(bytes as u64);
-    group.bench_function("null_sink", |b| b.iter(|| sweep(&baseline, docs)));
-    group.bench_function("collecting_sink", |b| b.iter(|| sweep(&collecting, docs)));
+    group.bench_function("null_sink", |b| {
+        b.iter(|| sweep(&extractors, docs, &NullSink));
+    });
+    group.bench_function("collecting_sink", |b| {
+        b.iter(|| sweep(&extractors, docs, &collecting_sink));
+    });
     group.finish();
 }
 
@@ -119,25 +123,27 @@ fn interleaved<A: FnMut(), B: FnMut()>(mut a: A, mut b: B, runs: usize) -> Paire
     }
 }
 
-/// The < 1 % NullSink gate, measured where an untraced path still exists:
-/// [`rbd_tagtree::TagTreeBuilder::try_build`] (no instrumentation at all)
-/// against [`rbd_tagtree::TagTreeBuilder::try_build_traced`] with
-/// [`rbd_trace::NullSink`] — tokenize + tree build is the pipeline's hot
-/// path, and every traced stage uses the same one-branch-per-event shape.
+/// The < 1 % NullSink gate, measured on the pipeline's hot path: the
+/// uninstrumented reference is [`rbd_html::tokenize`] followed by
+/// [`TagTreeBuilder::try_build_from_tokens`]; the instrumented side is
+/// [`TagTreeBuilder::try_build`] reporting to [`NullSink`] — the same two
+/// steps plus the budget check, two spans and two event sites, each gated
+/// by one `enabled()` branch like every other traced stage.
 fn measure_null_sink_overhead(docs: &[String]) {
-    let builder = rbd_tagtree::TagTreeBuilder::default();
+    let builder = TagTreeBuilder::default();
     let untraced = || {
         for html in docs {
-            black_box(builder.try_build(html).expect("tree"));
+            let tokens = rbd_html::tokenize(html);
+            black_box(
+                builder
+                    .try_build_from_tokens(html.len(), &tokens)
+                    .expect("tree"),
+            );
         }
     };
     let nulled = || {
         for html in docs {
-            black_box(
-                builder
-                    .try_build_traced(html, &rbd_trace::NullSink)
-                    .expect("tree"),
-            );
+            black_box(builder.try_build(html, &NullSink).expect("tree"));
         }
     };
 
@@ -162,7 +168,7 @@ fn measure_null_sink_overhead(docs: &[String]) {
         p.b_min, p.b_median
     );
     println!(
-        "tracing-overhead/null_vs_untraced          paired-ratio {:+.2} %",
+        "tracing-overhead/null_sink_vs_untraced     paired-ratio {:+.2} %",
         (p.ratio_median - 1.0) * 100.0
     );
 }
@@ -173,16 +179,26 @@ fn measure_null_sink_overhead(docs: &[String]) {
 /// document against the bare workload — the same shape batch mode pays
 /// when windows are off.
 fn measure_disabled_windows_overhead(docs: &[String]) {
-    let builder = rbd_tagtree::TagTreeBuilder::default();
+    let builder = TagTreeBuilder::default();
     let windows = rbd_trace::RollingWindows::disabled();
     let bare = || {
         for html in docs {
-            black_box(builder.try_build(html).expect("tree"));
+            let tokens = rbd_html::tokenize(html);
+            black_box(
+                builder
+                    .try_build_from_tokens(html.len(), &tokens)
+                    .expect("tree"),
+            );
         }
     };
     let gated = || {
         for html in docs {
-            black_box(builder.try_build(html).expect("tree"));
+            let tokens = rbd_html::tokenize(html);
+            black_box(
+                builder
+                    .try_build_from_tokens(html.len(), &tokens)
+                    .expect("tree"),
+            );
             windows.record(black_box(1_000), false);
         }
     };
@@ -197,11 +213,11 @@ fn measure_disabled_windows_overhead(docs: &[String]) {
 /// Cost of actually collecting: the full audit trail against the NullSink
 /// fast path, end to end through `extract_records`.
 fn measure_collecting_overhead(docs: &[String]) {
-    let baseline = extractors(None);
-    let collecting = extractors(Some(&Arc::new(CollectingSink::new())));
+    let extractors = extractors();
+    let collecting = CollectingSink::new();
 
-    let null_sweep = || sweep(&baseline, docs);
-    let collect_sweep = || sweep(&collecting, docs);
+    let null_sweep = || sweep(&extractors, docs, &NullSink);
+    let collect_sweep = || sweep(&extractors, docs, &collecting);
     interleaved(&null_sweep, &collect_sweep, 5); // warm-up
     let p = interleaved(null_sweep, collect_sweep, 60);
 

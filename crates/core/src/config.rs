@@ -4,8 +4,6 @@ use crate::limits::Limits;
 use rbd_certainty::{CertaintyTable, HeuristicSet};
 use rbd_heuristics::view::DEFAULT_CANDIDATE_THRESHOLD;
 use rbd_ontology::Ontology;
-use rbd_trace::TraceSink;
-use std::sync::Arc;
 
 /// Configuration of a [`crate::RecordExtractor`].
 ///
@@ -32,10 +30,6 @@ pub struct ExtractorConfig {
     /// paper-corpus document approaches; see [`Limits::strict`] for
     /// service-grade caps).
     pub limits: Limits,
-    /// Trace sink receiving spans, counters, and the decision audit trail
-    /// (default `None`: the extractor uses [`rbd_trace::NullSink`] and the
-    /// pipeline pays one branch per stage).
-    pub sink: Option<Arc<dyn TraceSink>>,
 }
 
 impl Default for ExtractorConfig {
@@ -47,7 +41,6 @@ impl Default for ExtractorConfig {
             ontology: None,
             xml: false,
             limits: Limits::default(),
-            sink: None,
         }
     }
 }
@@ -88,13 +81,6 @@ impl ExtractorConfig {
     /// input).
     pub fn with_limits(mut self, limits: Limits) -> Self {
         self.limits = limits;
-        self
-    }
-
-    /// Installs a trace sink: every discovery/extraction through this
-    /// config reports spans, counters, and the decision audit trail to it.
-    pub fn with_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.sink = Some(sink);
         self
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::chunk::{chunk_at_separators, Record};
 use crate::config::ExtractorConfig;
+use crate::integrated::IntegratedExtraction;
 use crate::limits::{Deadline, DegradationEvent, DegradationStage, LimitExceeded, LimitKind};
 use rbd_certainty::{CompoundHeuristic, Consensus};
 use rbd_heuristics::om::OntologyMatching;
@@ -10,20 +11,19 @@ use rbd_heuristics::{
     Ranking, SubtreeView,
 };
 use rbd_pattern::PatternError;
+use rbd_recognizer::{
+    estimate_record_count_from_table, DataRecordTable, GovernedRecognition, Recognizer,
+};
 use rbd_tagtree::{CandidateTag, NodeId, TagTree, TagTreeBuilder, TreeError};
 use rbd_trace::{CandidateDecision, NullSink, Span, TraceEvent, TraceSink};
 use std::fmt;
-
-/// The sink used when the configuration installs none: disabled, so every
-/// instrumentation site reduces to one branch.
-static NULL_SINK: NullSink = NullSink;
 
 /// Records a degradation in both places that must see it: the trace sink
 /// (as a [`TraceEvent::Degradation`], when tracing is on) and the
 /// per-extraction report. All governed code paths in this crate go through
 /// here so a degradation can never reach the report without reaching the
 /// audit trail — the `observability` rule in `rbd-lint` enforces it.
-pub(crate) fn note_degradation(
+fn note_degradation(
     degradation: &mut Vec<DegradationEvent>,
     sink: &dyn TraceSink,
     event: DegradationEvent,
@@ -42,7 +42,7 @@ pub(crate) fn note_degradation(
 /// Builds the audit-trail event naming the winning highest-fan-out subtree
 /// and its closest runner-up subtrees (top three by fan-out, ties broken
 /// by tag name for deterministic traces).
-pub(crate) fn subtree_chosen_event(tree: &TagTree, subtree: NodeId) -> TraceEvent {
+fn subtree_chosen_event(tree: &TagTree, subtree: NodeId) -> TraceEvent {
     let chosen = tree.node(subtree);
     let mut runners_up: Vec<(String, usize)> = tree
         .ids()
@@ -62,7 +62,7 @@ pub(crate) fn subtree_chosen_event(tree: &TagTree, subtree: NodeId) -> TraceEven
 /// Builds the audit-trail event recording every child tag of the chosen
 /// subtree with its count, its share of the subtree's tag count, and
 /// whether it cleared the candidate threshold (§3).
-pub(crate) fn candidates_event(tree: &TagTree, subtree: NodeId, threshold: f64) -> TraceEvent {
+fn candidates_event(tree: &TagTree, subtree: NodeId, threshold: f64) -> TraceEvent {
     let total = tree.subtree_tag_count(subtree);
     let considered = tree
         .child_tag_counts(subtree)
@@ -241,15 +241,6 @@ impl RecordExtractor {
         }
     }
 
-    /// The sink every untraced entry point reports to: the configured one,
-    /// or the disabled [`NullSink`].
-    pub(crate) fn active_sink(&self) -> &dyn TraceSink {
-        match &self.config.sink {
-            Some(sink) => sink.as_ref(),
-            None => &NULL_SINK,
-        }
-    }
-
     /// Builds the tag tree under the configured limits, tracing the
     /// tokenize and tree-build stages. Hard limit breaches surface as
     /// [`DiscoveryError::Limit`]; the theoretical-only construction errors
@@ -258,7 +249,7 @@ impl RecordExtractor {
         match self
             .builder()
             .with_budget(self.config.limits.tree_budget())
-            .try_build_traced(html, sink)
+            .try_build(html, sink)
         {
             Ok((tree, _)) => Ok(tree),
             Err(TreeError::Limit(e)) => Err(DiscoveryError::Limit(e)),
@@ -268,7 +259,7 @@ impl RecordExtractor {
 
     /// Applies the candidate-tag cap to a prepared view, reporting the
     /// truncation so dropped tags are never silently out of the running.
-    pub(crate) fn cap_candidates(
+    fn cap_candidates(
         &self,
         view: &mut SubtreeView<'_>,
         degradation: &mut Vec<DegradationEvent>,
@@ -294,22 +285,53 @@ impl RecordExtractor {
     }
 
     /// Runs the Record-Boundary Discovery Algorithm on `html` under the
-    /// configured [`crate::limits::Limits`], reporting to the configured
-    /// sink (or none).
+    /// configured [`crate::limits::Limits`], untraced.
     pub fn discover(&self, html: &str) -> Result<DiscoveryOutcome, DiscoveryError> {
-        self.discover_traced(html, self.active_sink())
+        self.discover_traced(html, &NullSink)
     }
 
-    /// [`RecordExtractor::discover`] reporting to an explicit
-    /// [`TraceSink`]: stage spans, pipeline counters, and the full
-    /// decision audit trail (subtree choice with runners-up, candidate
-    /// census against the threshold, every heuristic's ranking with raw
-    /// score inputs, the certainty combination, and any degradations).
+    /// [`RecordExtractor::discover`] reporting to a [`TraceSink`]: stage
+    /// spans, pipeline counters, and the full decision audit trail
+    /// (subtree choice with runners-up, candidate census against the
+    /// threshold, every heuristic's ranking with raw score inputs, the
+    /// certainty combination, and any degradations).
     pub fn discover_traced(
         &self,
         html: &str,
         sink: &dyn TraceSink,
     ) -> Result<DiscoveryOutcome, DiscoveryError> {
+        self.discover_with(html, None, sink)
+            .map(|found| found.outcome)
+    }
+
+    /// Runs boundary discovery with recognition amortized into the same
+    /// text pass (§4.5), reporting to `sink`. The recognizer runs once over
+    /// the record area's text; the OM heuristic's estimate comes from the
+    /// resulting Data-Record Table instead of a second regex pass, and the
+    /// audit trail carries a [`Recognized`](TraceEvent::Recognized) event
+    /// in place of OM's own scan. Every other step is
+    /// [`RecordExtractor::discover_traced`]'s, so the separator agrees
+    /// with it (property-tested in `tests/integrated.rs`).
+    pub fn discover_and_recognize(
+        &self,
+        html: &str,
+        recognizer: &Recognizer,
+        sink: &dyn TraceSink,
+    ) -> Result<IntegratedExtraction, DiscoveryError> {
+        self.discover_with(html, Some(recognizer), sink)
+    }
+
+    /// The one discovery body behind every entry point. With a
+    /// `recognizer`, the record area's text is recognized once before the
+    /// §3 shortcut and OM ranks from the table's estimate; without one, OM
+    /// scans the text itself and the returned text, table and cuts are
+    /// empty.
+    fn discover_with(
+        &self,
+        html: &str,
+        recognizer: Option<&Recognizer>,
+        sink: &dyn TraceSink,
+    ) -> Result<IntegratedExtraction, DiscoveryError> {
         let deadline = self.config.limits.start_deadline();
         let mut degradation: Vec<DegradationEvent> = Vec::new();
 
@@ -336,150 +358,133 @@ impl RecordExtractor {
             return Err(DiscoveryError::NoCandidates);
         }
 
-        // §3 shortcut: a single candidate *is* the separator.
-        if candidates.len() == 1 {
+        // §4.5: one recognition pass over the record area, under the text
+        // cap and the deadline.
+        let mut text = String::new();
+        let mut recognized: Option<GovernedRecognition> = None;
+        if let Some(recognizer) = recognizer {
+            text = view.text().to_owned();
+            let governed = recognizer.recognize_governed(
+                &text,
+                self.config.limits.max_text_bytes,
+                &deadline,
+                sink,
+            );
+            for cause in [governed.truncation, governed.skipped]
+                .into_iter()
+                .flatten()
+            {
+                note_degradation(
+                    &mut degradation,
+                    sink,
+                    DegradationEvent {
+                        stage: DegradationStage::Recognizer,
+                        cause,
+                    },
+                );
+            }
+            recognized = Some(governed);
+        }
+
+        let (separator, consensus, rankings) = if candidates.len() == 1 {
+            // §3 shortcut: a single candidate *is* the separator.
             let separator = candidates[0].name.clone();
             if sink.enabled() {
                 sink.event(TraceEvent::Shortcut {
                     separator: separator.clone(),
                 });
             }
-            return Ok(DiscoveryOutcome {
+            let consensus = Consensus {
+                scored: Vec::new(),
+                winners: vec![separator.clone()],
+            };
+            (separator, consensus, Vec::new())
+        } else {
+            // Step 4: the five individual heuristics, governed by the
+            // deadline and the text cap.
+            let rankings = self.run_heuristics(
+                &view,
+                &deadline,
+                recognized.as_ref(),
+                &mut degradation,
+                sink,
+            );
+
+            // Steps 5–6: Stanford certainty combination, argmax.
+            let consensus = self.compound.combine(&rankings);
+            if sink.enabled() {
+                sink.event(TraceEvent::Consensus {
+                    scored: consensus
+                        .scored
+                        .iter()
+                        .map(|s| (s.tag.clone(), s.certainty.value()))
+                        .collect(),
+                    winners: consensus.winners.clone(),
+                });
+            }
+            let out_of_time = degradation
+                .iter()
+                .any(|e| e.cause.limit == LimitKind::WallClock);
+            let separator = match consensus.winners.first() {
+                Some(w) => w.clone(),
+                None if rankings.is_empty() && out_of_time => {
+                    // Nothing ranked *because* the budget ran out: that is
+                    // a resource failure, not the paper's "all abstained".
+                    return Err(DiscoveryError::Limit(deadline.exceeded()));
+                }
+                None => return Err(DiscoveryError::NoConsensus),
+            };
+            (separator, consensus, rankings)
+        };
+
+        let (table, cuts) = match recognized {
+            Some(governed) => (governed.table, view.child_tag_text_byte_offsets(&separator)),
+            None => (DataRecordTable::default(), Vec::new()),
+        };
+        Ok(IntegratedExtraction {
+            outcome: DiscoveryOutcome {
                 separator,
-                consensus: Consensus {
-                    scored: Vec::new(),
-                    winners: vec![candidates[0].name.clone()],
-                },
-                rankings: Vec::new(),
+                consensus,
+                rankings,
                 candidates,
                 subtree_tag,
                 subtree,
                 tree,
                 degradation,
-            });
-        }
-
-        // Step 4: the five individual heuristics, governed by the deadline
-        // and the text cap.
-        let rankings = self.run_heuristics_governed(&view, &deadline, &mut degradation, sink);
-
-        // Steps 5–6: Stanford certainty combination, argmax.
-        let consensus = self.compound.combine(&rankings);
-        if sink.enabled() {
-            sink.event(TraceEvent::Consensus {
-                scored: consensus
-                    .scored
-                    .iter()
-                    .map(|s| (s.tag.clone(), s.certainty.value()))
-                    .collect(),
-                winners: consensus.winners.clone(),
-            });
-        }
-        let out_of_time = degradation
-            .iter()
-            .any(|e| e.cause.limit == LimitKind::WallClock);
-        let separator = match consensus.winners.first() {
-            Some(w) => w.clone(),
-            None if rankings.is_empty() && out_of_time => {
-                // Nothing ranked *because* the budget ran out: that is a
-                // resource failure, not the paper's "all abstained".
-                return Err(DiscoveryError::Limit(deadline.exceeded()));
-            }
-            None => return Err(DiscoveryError::NoConsensus),
-        };
-
-        Ok(DiscoveryOutcome {
-            separator,
-            consensus,
-            rankings,
-            candidates,
-            subtree_tag,
-            subtree,
-            tree,
-            degradation,
+            },
+            text,
+            table,
+            cuts,
         })
     }
 
-    /// Runs the individual heuristics over a prepared view, returning the
-    /// rankings of those that did not abstain. Ungoverned: no deadline, no
-    /// text cap (kept for ablations and callers that manage their own
-    /// budgets).
-    pub fn run_heuristics(&self, view: &SubtreeView<'_>) -> Vec<Ranking> {
-        let ht = HighestCount;
-        let it = IdentifiableTags::default();
-        let sd = StandardDeviation;
-        let rp = RepeatingPattern::default();
-        let mut heuristics: Vec<&dyn Heuristic> = vec![&rp, &sd, &it, &ht];
-        if let Some(om) = &self.om {
-            heuristics.insert(0, om);
-        }
-        rbd_heuristics::run_all(&heuristics, view)
-    }
-
-    /// Governed heuristic pass: OM scans at most the configured text-byte
-    /// cap, and each heuristic starts only while the deadline holds — a
-    /// heuristic skipped by the budget abstains (the paper's §5
+    /// The heuristic pass: OM first (from the recognizer's table when one
+    /// ran, otherwise scanning at most the configured text-byte cap), then
+    /// RP, SD, IT and HT. Each heuristic starts only while the deadline
+    /// holds — a heuristic skipped by the budget abstains (the paper's §5
     /// degradation) and is reported, both in `degradation` and on the
     /// sink's audit trail.
-    fn run_heuristics_governed(
+    fn run_heuristics(
         &self,
         view: &SubtreeView<'_>,
         deadline: &Deadline,
+        recognized: Option<&GovernedRecognition>,
         degradation: &mut Vec<DegradationEvent>,
         sink: &dyn TraceSink,
     ) -> Vec<Ranking> {
         let mut rankings: Vec<Ranking> = Vec::new();
         if let Some(om) = &self.om {
-            if deadline.is_expired() {
-                note_degradation(
-                    degradation,
-                    sink,
-                    DegradationEvent {
-                        stage: DegradationStage::Heuristic(om.kind()),
-                        cause: deadline.exceeded(),
-                    },
-                );
-            } else {
-                let span = Span::start_if(rbd_heuristics::span_name(om.kind()), sink);
-                let detailed = om.rank_governed_detailed(view, self.config.limits.max_text_bytes);
-                if let Some(span) = span {
-                    span.finish(sink);
-                }
-                if detailed.ranking.is_none() {
-                    sink.add("extract_heuristic_abstentions", 1);
-                }
-                if sink.enabled() {
-                    // OM's scores compare each candidate's occurrence count
-                    // to the record-count estimate; surface both.
-                    let mut inputs = OntologyMatching::occurrence_inputs(view);
-                    if let Some(estimate) = detailed.estimate {
-                        inputs.insert(0, ("estimate".to_owned(), estimate));
-                    }
-                    sink.event(rbd_heuristics::heuristic_event(
-                        om.kind(),
-                        detailed.ranking.as_ref(),
-                        inputs,
-                    ));
-                }
-                if let Some(cause) = detailed.truncation {
-                    note_degradation(
-                        degradation,
-                        sink,
-                        DegradationEvent {
-                            stage: DegradationStage::Heuristic(om.kind()),
-                            cause,
-                        },
-                    );
-                }
-                rankings.extend(detailed.ranking);
-            }
+            rankings.extend(match recognized {
+                Some(governed) => om_from_table(om, view, governed, deadline, degradation, sink),
+                None => self.om_scan(om, view, deadline, degradation, sink),
+            });
         }
         let ht = HighestCount;
         let it = IdentifiableTags::default();
         let sd = StandardDeviation;
         let rp = RepeatingPattern::default();
         let others: [&dyn Heuristic; 4] = [&rp, &sd, &it, &ht];
-        let run = rbd_heuristics::run_all_governed_traced(&others, view, deadline, sink);
+        let run = rbd_heuristics::run_all(&others, view, deadline, sink);
         for kind in run.skipped {
             note_degradation(
                 degradation,
@@ -494,17 +499,70 @@ impl RecordExtractor {
         rankings
     }
 
-    /// Discovery followed by record chunking and markup cleaning,
-    /// reporting to the configured sink (or none).
-    pub fn extract_records(&self, html: &str) -> Result<Extraction, DiscoveryError> {
-        self.extract_records_traced(html, self.active_sink())
+    /// OM scanning the view's text itself, under the text cap, once the
+    /// deadline allows it to start.
+    fn om_scan(
+        &self,
+        om: &OntologyMatching,
+        view: &SubtreeView<'_>,
+        deadline: &Deadline,
+        degradation: &mut Vec<DegradationEvent>,
+        sink: &dyn TraceSink,
+    ) -> Option<Ranking> {
+        if deadline.is_expired() {
+            note_degradation(
+                degradation,
+                sink,
+                DegradationEvent {
+                    stage: DegradationStage::Heuristic(om.kind()),
+                    cause: deadline.exceeded(),
+                },
+            );
+            return None;
+        }
+        let span = Span::start_if(rbd_heuristics::span_name(om.kind()), sink);
+        let detailed = om.rank_governed_detailed(view, self.config.limits.max_text_bytes);
+        if let Some(span) = span {
+            span.finish(sink);
+        }
+        if detailed.ranking.is_none() {
+            sink.add("extract_heuristic_abstentions", 1);
+        }
+        if sink.enabled() {
+            // OM's scores compare each candidate's occurrence count to the
+            // record-count estimate; surface both.
+            let mut inputs = OntologyMatching::occurrence_inputs(view);
+            if let Some(estimate) = detailed.estimate {
+                inputs.insert(0, ("estimate".to_owned(), estimate));
+            }
+            sink.event(rbd_heuristics::heuristic_event(
+                om.kind(),
+                detailed.ranking.as_ref(),
+                inputs,
+            ));
+        }
+        if let Some(cause) = detailed.truncation {
+            note_degradation(
+                degradation,
+                sink,
+                DegradationEvent {
+                    stage: DegradationStage::Heuristic(om.kind()),
+                    cause,
+                },
+            );
+        }
+        detailed.ranking
     }
 
-    /// [`RecordExtractor::extract_records`] reporting to an explicit
-    /// [`TraceSink`]: everything [`RecordExtractor::discover_traced`]
-    /// emits, plus a `"chunk"` span, a
-    /// [`Chunked`](TraceEvent::Chunked) event, and the `extract_docs`
-    /// counter.
+    /// Discovery followed by record chunking and markup cleaning, untraced.
+    pub fn extract_records(&self, html: &str) -> Result<Extraction, DiscoveryError> {
+        self.extract_records_traced(html, &NullSink)
+    }
+
+    /// [`RecordExtractor::extract_records`] reporting to a [`TraceSink`]:
+    /// everything [`RecordExtractor::discover_traced`] emits, plus a
+    /// `"chunk"` span, a [`Chunked`](TraceEvent::Chunked) event, and the
+    /// `extract_docs` counter.
     pub fn extract_records_traced(
         &self,
         html: &str,
@@ -538,6 +596,49 @@ impl RecordExtractor {
             degradation,
         })
     }
+}
+
+/// OM ranked from the recognizer's Data-Record Table (§4.5): no second
+/// text scan, so no OM span. Without an estimate OM abstains — for a
+/// resource reason when the deadline skipped recognition, otherwise for
+/// the paper's (too few record-identifying fields).
+fn om_from_table(
+    om: &OntologyMatching,
+    view: &SubtreeView<'_>,
+    governed: &GovernedRecognition,
+    deadline: &Deadline,
+    degradation: &mut Vec<DegradationEvent>,
+    sink: &dyn TraceSink,
+) -> Option<Ranking> {
+    let Some(estimate) = estimate_record_count_from_table(om.ontology(), &governed.table) else {
+        if governed.skipped.is_some() {
+            note_degradation(
+                degradation,
+                sink,
+                DegradationEvent {
+                    stage: DegradationStage::Heuristic(om.kind()),
+                    cause: deadline.exceeded(),
+                },
+            );
+        } else {
+            sink.add("extract_heuristic_abstentions", 1);
+            if sink.enabled() {
+                sink.event(rbd_heuristics::heuristic_event(om.kind(), None, Vec::new()));
+            }
+        }
+        return None;
+    };
+    let ranking = OntologyMatching::rank_with_estimate(view, estimate);
+    if sink.enabled() {
+        let mut inputs = OntologyMatching::occurrence_inputs(view);
+        inputs.insert(0, ("estimate".to_owned(), estimate));
+        sink.event(rbd_heuristics::heuristic_event(
+            om.kind(),
+            Some(&ranking),
+            inputs,
+        ));
+    }
+    Some(ranking)
 }
 
 #[cfg(test)]
@@ -705,7 +806,7 @@ mod tests {
         let view = SubtreeView::from_tree(&tree, ex.config.candidate_threshold);
         let deadline = rbd_limits::Deadline::after(std::time::Duration::ZERO);
         let mut events = Vec::new();
-        let rankings = ex.run_heuristics_governed(&view, &deadline, &mut events, &NULL_SINK);
+        let rankings = ex.run_heuristics(&view, &deadline, None, &mut events, &NullSink);
         assert!(rankings.is_empty());
         assert_eq!(events.len(), 5, "{events:?}");
         assert!(events
@@ -843,20 +944,6 @@ mod tests {
             "{:?}",
             sink.spans()
         );
-    }
-
-    #[test]
-    fn sink_via_config_matches_explicit_sink() {
-        use rbd_trace::{CollectingSink, TraceSink};
-        use std::sync::Arc;
-        let sink = Arc::new(CollectingSink::new());
-        let ex = RecordExtractor::new(
-            ExtractorConfig::default().with_sink(Arc::clone(&sink) as Arc<dyn TraceSink>),
-        )
-        .unwrap();
-        ex.extract_records(&obituary_page()).unwrap();
-        assert!(!sink.events().is_empty());
-        assert_eq!(sink.registry().counter("extract_docs"), 1);
     }
 
     #[test]

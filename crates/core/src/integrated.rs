@@ -11,26 +11,15 @@
 //! > tags in the document to partition the Data-Record Table into sets of
 //! > entries that are in a one-to-one correspondence with the records."
 //!
-//! [`RecordExtractor::discover_and_recognize`] implements that flow: the
-//! recognizer runs once over the subtree text; the OM heuristic's record
-//! estimate is derived from the resulting Data-Record Table (no second
-//! regex pass); and the table is partitioned at the discovered separator's
-//! positions for downstream database population.
+//! [`RecordExtractor::discover_and_recognize`](crate::RecordExtractor::discover_and_recognize)
+//! implements that flow inside the one discovery body: the recognizer runs
+//! once over the subtree text; the OM heuristic's record estimate is
+//! derived from the resulting Data-Record Table (no second regex pass);
+//! and the table is partitioned at the discovered separator's positions
+//! (the cut offsets below) for downstream database population.
 
-use crate::extractor::{
-    candidates_event, note_degradation, subtree_chosen_event, DiscoveryError, DiscoveryOutcome,
-    RecordExtractor,
-};
-use crate::limits::{DegradationEvent, DegradationStage};
-use rbd_certainty::Consensus;
-use rbd_heuristics::om::OntologyMatching;
-use rbd_heuristics::{
-    ht::HighestCount, it::IdentifiableTags, rp::RepeatingPattern, sd::StandardDeviation, Heuristic,
-    HeuristicKind, Ranking, SubtreeView,
-};
-use rbd_recognizer::{estimate_record_count_from_table, DataRecordTable, Recognizer, TableEntry};
-use rbd_tagtree::TagTreeBuilder;
-use rbd_trace::{TraceEvent, TraceSink};
+use crate::extractor::DiscoveryOutcome;
+use rbd_recognizer::{DataRecordTable, TableEntry};
 
 /// The result of integrated discovery + recognition.
 #[derive(Debug, Clone)]
@@ -80,223 +69,13 @@ impl IntegratedExtraction {
     }
 }
 
-impl RecordExtractor {
-    /// Runs boundary discovery with recognition amortized into the same
-    /// text pass (§4.5). The OM heuristic's estimate comes from the
-    /// Data-Record Table; every other heuristic runs as usual.
-    ///
-    /// The discovery outcome is identical to [`RecordExtractor::discover`]
-    /// when an ontology is configured (property-tested in
-    /// `tests/integrated.rs`); the saving is the second regex pass.
-    pub fn discover_and_recognize(
-        &self,
-        html: &str,
-        recognizer: &Recognizer,
-    ) -> Result<IntegratedExtraction, DiscoveryError> {
-        self.discover_and_recognize_traced(html, recognizer, self.active_sink())
-    }
-
-    /// [`RecordExtractor::discover_and_recognize`] reporting to an
-    /// explicit [`TraceSink`] — the same audit trail as
-    /// [`RecordExtractor::discover_traced`], with a
-    /// [`Recognized`](TraceEvent::Recognized) event in place of a fresh OM
-    /// text scan.
-    pub fn discover_and_recognize_traced(
-        &self,
-        html: &str,
-        recognizer: &Recognizer,
-        sink: &dyn TraceSink,
-    ) -> Result<IntegratedExtraction, DiscoveryError> {
-        let limits = &self.config().limits;
-        let deadline = limits.start_deadline();
-        let mut degradation: Vec<DegradationEvent> = Vec::new();
-
-        let tree = match TagTreeBuilder::default()
-            .with_budget(limits.tree_budget())
-            .try_build_traced(html, sink)
-        {
-            Ok((tree, _)) => tree,
-            Err(rbd_tagtree::TreeError::Limit(e)) => return Err(DiscoveryError::Limit(e)),
-            Err(_) => return Err(DiscoveryError::EmptyDocument),
-        };
-        if tree.is_empty() {
-            return Err(DiscoveryError::EmptyDocument);
-        }
-        let mut view = SubtreeView::from_tree(&tree, self.config().candidate_threshold);
-        let subtree = view.root();
-        let subtree_tag = tree.name(subtree).to_owned();
-        if sink.enabled() {
-            sink.event(subtree_chosen_event(&tree, subtree));
-            sink.event(candidates_event(
-                &tree,
-                subtree,
-                self.config().candidate_threshold,
-            ));
-        }
-        self.cap_candidates(&mut view, &mut degradation, sink);
-        let candidates = view.candidates().to_vec();
-        if candidates.is_empty() {
-            return Err(DiscoveryError::NoCandidates);
-        }
-        let text = view.text().to_owned();
-
-        // One pass: the Data-Record Table for the whole record area, under
-        // the text cap and the deadline.
-        let governed =
-            recognizer.recognize_governed_traced(&text, limits.max_text_bytes, &deadline, sink);
-        if let Some(cause) = governed.truncation {
-            note_degradation(
-                &mut degradation,
-                sink,
-                DegradationEvent {
-                    stage: DegradationStage::Recognizer,
-                    cause,
-                },
-            );
-        }
-        if let Some(cause) = governed.skipped {
-            note_degradation(
-                &mut degradation,
-                sink,
-                DegradationEvent {
-                    stage: DegradationStage::Recognizer,
-                    cause,
-                },
-            );
-        }
-        let table = governed.table;
-
-        let (separator, consensus, rankings) = if candidates.len() == 1 {
-            // §3 single-candidate shortcut.
-            let separator = candidates[0].name.clone();
-            if sink.enabled() {
-                sink.event(TraceEvent::Shortcut {
-                    separator: separator.clone(),
-                });
-            }
-            (
-                separator,
-                Consensus {
-                    scored: Vec::new(),
-                    winners: vec![candidates[0].name.clone()],
-                },
-                Vec::new(),
-            )
-        } else {
-            // OM from the (possibly partial) table; RP/SD/IT/HT as usual,
-            // each starting only while the deadline holds.
-            let mut rankings: Vec<Ranking> = Vec::with_capacity(5);
-            let estimate = self
-                .config()
-                .ontology
-                .as_ref()
-                .and_then(|ontology| estimate_record_count_from_table(ontology, &table));
-            if let Some(estimate) = estimate {
-                let ranking = OntologyMatching::rank_with_estimate(&view, estimate);
-                if sink.enabled() {
-                    let mut inputs = OntologyMatching::occurrence_inputs(&view);
-                    inputs.insert(0, ("estimate".to_owned(), estimate));
-                    sink.event(rbd_heuristics::heuristic_event(
-                        HeuristicKind::OM,
-                        Some(&ranking),
-                        inputs,
-                    ));
-                }
-                rankings.push(ranking);
-            } else if self.config().ontology.is_some() && governed.skipped.is_some() {
-                // The recognizer never ran, so OM had no table to estimate
-                // from: it abstained for a resource reason, not a paper one.
-                note_degradation(
-                    &mut degradation,
-                    sink,
-                    DegradationEvent {
-                        stage: DegradationStage::Heuristic(HeuristicKind::OM),
-                        cause: deadline.exceeded(),
-                    },
-                );
-            } else if self.config().ontology.is_some() {
-                // A genuine abstention (too few record-identifying fields).
-                sink.add("extract_heuristic_abstentions", 1);
-                if sink.enabled() {
-                    sink.event(rbd_heuristics::heuristic_event(
-                        HeuristicKind::OM,
-                        None,
-                        Vec::new(),
-                    ));
-                }
-            }
-            let it = IdentifiableTags::default();
-            let others: [&dyn Heuristic; 4] = [
-                &RepeatingPattern::default(),
-                &StandardDeviation,
-                &it,
-                &HighestCount,
-            ];
-            let run = rbd_heuristics::run_all_governed_traced(&others, &view, &deadline, sink);
-            for kind in run.skipped {
-                note_degradation(
-                    &mut degradation,
-                    sink,
-                    DegradationEvent {
-                        stage: DegradationStage::Heuristic(kind),
-                        cause: deadline.exceeded(),
-                    },
-                );
-            }
-            rankings.extend(run.rankings);
-
-            let compound = rbd_certainty::CompoundHeuristic::new(
-                self.config().heuristic_set,
-                self.config().certainty_table.clone(),
-            );
-            let consensus = compound.combine(&rankings);
-            if sink.enabled() {
-                sink.event(TraceEvent::Consensus {
-                    scored: consensus
-                        .scored
-                        .iter()
-                        .map(|s| (s.tag.clone(), s.certainty.value()))
-                        .collect(),
-                    winners: consensus.winners.clone(),
-                });
-            }
-            let out_of_time = degradation
-                .iter()
-                .any(|e| e.cause.limit == crate::limits::LimitKind::WallClock);
-            let separator = match consensus.winners.first() {
-                Some(w) => w.clone(),
-                None if rankings.is_empty() && out_of_time => {
-                    return Err(DiscoveryError::Limit(deadline.exceeded()));
-                }
-                None => return Err(DiscoveryError::NoConsensus),
-            };
-            (separator, consensus, rankings)
-        };
-
-        let cuts = view.child_tag_text_byte_offsets(&separator);
-        Ok(IntegratedExtraction {
-            outcome: DiscoveryOutcome {
-                separator,
-                consensus,
-                rankings,
-                candidates,
-                subtree_tag,
-                subtree,
-                tree,
-                degradation,
-            },
-            text,
-            table,
-            cuts,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::config::ExtractorConfig;
+    use crate::RecordExtractor;
     use rbd_ontology::domains;
+    use rbd_recognizer::Recognizer;
+    use rbd_trace::NullSink;
 
     fn page() -> String {
         let mut d = String::from("<html><body><table><tr><td><h1>Notices</h1>");
@@ -325,7 +104,7 @@ mod tests {
         let rec = Recognizer::new(&domains::obituaries()).unwrap();
         let page = page();
         let separate = ex.discover(&page).unwrap();
-        let integrated = ex.discover_and_recognize(&page, &rec).unwrap();
+        let integrated = ex.discover_and_recognize(&page, &rec, &NullSink).unwrap();
         assert_eq!(integrated.outcome.separator, separate.separator);
         assert_eq!(integrated.outcome.rankings.len(), separate.rankings.len());
         for (a, b) in integrated.outcome.rankings.iter().zip(&separate.rankings) {
@@ -337,7 +116,7 @@ mod tests {
     fn partitions_align_with_records() {
         let ex = extractor();
         let rec = Recognizer::new(&domains::obituaries()).unwrap();
-        let integrated = ex.discover_and_recognize(&page(), &rec).unwrap();
+        let integrated = ex.discover_and_recognize(&page(), &rec, &NullSink).unwrap();
         assert_eq!(integrated.cuts.len(), 4); // 3 records + trailing hr
         let parts = integrated.partitions();
         assert_eq!(parts.len(), 5);
@@ -359,7 +138,7 @@ mod tests {
     fn record_tables_feed_the_instance_generator() {
         let ex = extractor();
         let rec = Recognizer::new(&domains::obituaries()).unwrap();
-        let integrated = ex.discover_and_recognize(&page(), &rec).unwrap();
+        let integrated = ex.discover_and_recognize(&page(), &rec, &NullSink).unwrap();
         let tables = integrated.record_tables();
         assert_eq!(tables.len(), 4); // includes the empty trailing chunk
         assert!(tables[0]

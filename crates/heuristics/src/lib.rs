@@ -66,15 +66,9 @@ pub trait Heuristic {
     }
 }
 
-/// Runs every heuristic in `heuristics` over `view`, collecting the
-/// rankings of those that did not abstain.
-pub fn run_all(heuristics: &[&dyn Heuristic], view: &SubtreeView<'_>) -> Vec<Ranking> {
-    heuristics.iter().filter_map(|h| h.rank(view)).collect()
-}
-
-/// The outcome of a deadline-governed heuristic run: the rankings that were
-/// produced plus the heuristics that were skipped because the budget ran
-/// out before they started.
+/// The outcome of a heuristic run: the rankings that were produced plus
+/// the heuristics that were skipped because the budget ran out before they
+/// started.
 #[derive(Debug, Clone, Default)]
 pub struct GovernedRun {
     /// Rankings from the heuristics that ran and did not abstain.
@@ -84,30 +78,21 @@ pub struct GovernedRun {
     pub skipped: Vec<HeuristicKind>,
 }
 
-/// Runs the heuristics under a wall-clock [`Deadline`], checking it between
-/// heuristics (one heuristic = one unit of work, so overshoot is bounded by
-/// the longest single heuristic). A skipped heuristic abstains — exactly
-/// like OM with no ontology (§5) — and is reported in
-/// [`GovernedRun::skipped`] so callers can tell a budget skip from a
-/// genuine abstention.
-pub fn run_all_governed(
-    heuristics: &[&dyn Heuristic],
-    view: &SubtreeView<'_>,
-    deadline: &rbd_limits::Deadline,
-) -> GovernedRun {
-    run_all_governed_traced(heuristics, view, deadline, &rbd_trace::NullSink)
-}
-
-/// [`run_all_governed`] with a [`TraceSink`](rbd_trace::TraceSink): each
-/// heuristic that runs is timed as a `"heuristic:<KIND>"` span and — when
-/// the sink is enabled — emits a
+/// Runs every heuristic in `heuristics` over `view` under a wall-clock
+/// [`Deadline`](rbd_limits::Deadline), checking it between heuristics (one
+/// heuristic = one unit of work, so overshoot is bounded by the longest
+/// single heuristic). A skipped heuristic abstains — exactly like OM with
+/// no ontology (§5) — and is reported in [`GovernedRun::skipped`] so
+/// callers can tell a budget skip from a genuine abstention.
+///
+/// Each heuristic that runs is timed on `sink` as a `"heuristic:<KIND>"`
+/// span and — when the sink is enabled — emits a
 /// [`Heuristic`](rbd_trace::TraceEvent::Heuristic) event carrying its full
 /// ranking and the raw [`score_inputs`](Heuristic::score_inputs) behind
-/// it. Genuine abstentions bump the `extract_heuristic_abstentions` counter (and
-/// are distinguishable from deadline skips, which appear only in
-/// [`GovernedRun::skipped`] and produce no event here — the caller reports
-/// those as degradations).
-pub fn run_all_governed_traced(
+/// it. Genuine abstentions bump the `extract_heuristic_abstentions`
+/// counter; deadline skips produce no event here (the caller reports them
+/// as degradations).
+pub fn run_all(
     heuristics: &[&dyn Heuristic],
     view: &SubtreeView<'_>,
     deadline: &rbd_limits::Deadline,
@@ -153,7 +138,7 @@ pub fn span_name(kind: HeuristicKind) -> &'static str {
 }
 
 /// Builds the audit-trail event for one heuristic's outcome — shared by
-/// [`run_all_governed_traced`] and the OM special case in `rbd-core`.
+/// [`run_all`] and the OM special case in `rbd-core`.
 #[must_use]
 pub fn heuristic_event(
     kind: HeuristicKind,
@@ -182,7 +167,9 @@ pub fn heuristic_event(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rbd_limits::Deadline;
     use rbd_tagtree::TagTreeBuilder;
+    use rbd_trace::NullSink;
 
     #[test]
     fn run_all_collects_non_abstaining_rankings() {
@@ -194,7 +181,7 @@ mod tests {
         let sd = sd::StandardDeviation;
         let rp = rp::RepeatingPattern::default();
         let hs: [&dyn Heuristic; 4] = [&rp, &sd, &it, &ht];
-        let rankings = run_all(&hs, &view);
+        let rankings = run_all(&hs, &view, &Deadline::unbounded(), &NullSink).rankings;
         assert_eq!(rankings.len(), 4, "none should abstain here");
         let kinds: Vec<HeuristicKind> = rankings.iter().map(|r| r.kind).collect();
         assert_eq!(
@@ -210,7 +197,6 @@ mod tests {
 
     #[test]
     fn governed_run_skips_everything_on_expired_deadline() {
-        use rbd_limits::Deadline;
         use std::time::Duration;
         let tree = TagTreeBuilder::default()
             .build("<td><hr><b>A</b>x text<hr><b>B</b>y text<hr><b>C</b>z text<hr></td>");
@@ -220,14 +206,15 @@ mod tests {
         let hs: [&dyn Heuristic; 2] = [&it, &ht];
 
         let spent = Deadline::after(Duration::ZERO);
-        let run = run_all_governed(&hs, &view, &spent);
+        let run = run_all(&hs, &view, &spent, &NullSink);
         assert!(run.rankings.is_empty());
         assert_eq!(run.skipped, vec![HeuristicKind::IT, HeuristicKind::HT]);
 
-        // An unbounded deadline reproduces run_all exactly.
-        let run = run_all_governed(&hs, &view, &Deadline::unbounded());
+        // An unbounded deadline runs every heuristic exactly.
+        let run = run_all(&hs, &view, &Deadline::unbounded(), &NullSink);
         assert!(run.skipped.is_empty());
-        assert_eq!(run.rankings, run_all(&hs, &view));
+        let direct: Vec<Ranking> = hs.iter().filter_map(|h| h.rank(&view)).collect();
+        assert_eq!(run.rankings, direct);
     }
 
     #[test]
@@ -239,7 +226,7 @@ mod tests {
         let rp = rp::RepeatingPattern::default();
         let ht = ht::HighestCount;
         let hs: [&dyn Heuristic; 2] = [&rp, &ht];
-        let rankings = run_all(&hs, &view);
+        let rankings = run_all(&hs, &view, &Deadline::unbounded(), &NullSink).rankings;
         assert_eq!(rankings.len(), 1);
         assert_eq!(rankings[0].kind, HeuristicKind::HT);
     }

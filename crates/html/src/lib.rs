@@ -19,6 +19,12 @@
 //! * enforce HTML5 parsing-spec state-machine details — the paper predates
 //!   HTML5 and its algorithm only needs tag/text segmentation.
 //!
+//! The crate has one entry point per dialect — [`tokenize`] and
+//! [`tokenize_xml`] — and no governed or traced variants: the caller
+//! checks untrusted input against a [`TokenBudget`] first, and the
+//! tag-tree builder (`rbd-tagtree`'s `TagTreeBuilder::try_build`) does
+//! both that check and the `tokenize` span and event of the audit trail.
+//!
 //! Tokens are zero-copy views of the source: tag names are interned
 //! [`Sym`]s resolved against the stream's [`SymbolTable`], and text tokens
 //! borrow their raw slice, decoding character references lazily.
@@ -51,8 +57,7 @@ pub use intern::{Sym, SymbolTable};
 pub use span::Span;
 pub use token::{Attribute, EndTag, StartTag, Text, Token};
 pub use tokenizer::{
-    tokenize, tokenize_budgeted, tokenize_traced, tokenize_xml, tokenize_xml_budgeted, TokenBudget,
-    TokenStream, Tokenizer, Warning, WarningKind,
+    tokenize, tokenize_xml, TokenBudget, TokenStream, Tokenizer, Warning, WarningKind,
 };
 
 /// Returns `true` for element names that, in pre-HTML5 practice, never take

@@ -139,71 +139,6 @@ impl TokenBudget {
     }
 }
 
-/// Tokenizes an HTML document under a [`TokenBudget`].
-///
-/// # Errors
-/// [`LimitExceeded`] when the input is over the budget's byte cap; the
-/// scan is not attempted.
-pub fn tokenize_budgeted<'a>(
-    source: &'a str,
-    budget: &TokenBudget,
-) -> Result<TokenStream<'a>, LimitExceeded> {
-    budget.check(source)?;
-    Ok(tokenize(source))
-}
-
-/// Tokenizes an XML document under a [`TokenBudget`].
-///
-/// # Errors
-/// [`LimitExceeded`] when the input is over the budget's byte cap; the
-/// scan is not attempted.
-pub fn tokenize_xml_budgeted<'a>(
-    source: &'a str,
-    budget: &TokenBudget,
-) -> Result<TokenStream<'a>, LimitExceeded> {
-    budget.check(source)?;
-    Ok(tokenize_xml(source))
-}
-
-/// Tokenizes under a [`TokenBudget`] while reporting to a
-/// [`TraceSink`](rbd_trace::TraceSink): times the scan as a `"tokenize"`
-/// span, bumps the `extract_tags_scanned` counter, and — when the sink is enabled —
-/// emits a [`Tokenized`](rbd_trace::TraceEvent::Tokenized) event with the
-/// stream's shape. With a disabled sink the only extra cost over
-/// [`tokenize_budgeted`] is the span's two clock reads.
-///
-/// # Errors
-/// [`LimitExceeded`] when the input is over the budget's byte cap; the
-/// rejection itself is not traced (nothing was scanned).
-pub fn tokenize_traced<'a>(
-    source: &'a str,
-    xml: bool,
-    budget: &TokenBudget,
-    sink: &dyn rbd_trace::TraceSink,
-) -> Result<TokenStream<'a>, LimitExceeded> {
-    budget.check(source)?;
-    let span = rbd_trace::Span::start_if("tokenize", sink);
-    let stream = if xml {
-        tokenize_xml(source)
-    } else {
-        tokenize(source)
-    };
-    if let Some(span) = span {
-        span.finish(sink);
-    }
-    if sink.enabled() {
-        let tags = stream.tags().count();
-        sink.add("extract_tags_scanned", tags as u64);
-        sink.event(rbd_trace::TraceEvent::Tokenized {
-            bytes: source.len(),
-            tokens: stream.tokens.len(),
-            tags,
-            warnings: stream.warnings.len(),
-        });
-    }
-    Ok(stream)
-}
-
 /// Streaming tokenizer over a borrowed source document.
 ///
 /// Most callers want the convenience function [`tokenize`]; the struct form

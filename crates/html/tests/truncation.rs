@@ -9,7 +9,7 @@
 //! downstream relies on spans staying on boundaries.
 
 use rbd_corpus::adversarial::{mutate_bytes, truncate_bytes, valid_seed_document};
-use rbd_html::{tokenize, tokenize_budgeted, Token, TokenBudget};
+use rbd_html::{tokenize, Token, TokenBudget};
 use rbd_prop::{check_cases, prop_assert, Gen, Rng};
 
 const SEED_DOCS: usize = 8;
@@ -101,10 +101,10 @@ fn random_truncation_and_mutation_property() {
 fn budget_check_is_exact_at_the_boundary() {
     let doc = "x".repeat(100);
     let budget = TokenBudget::with_max_input_bytes(100);
-    let stream = tokenize_budgeted(&doc, &budget).expect("exactly at cap is within budget");
-    assert_eq!(stream.plain_text(), doc);
+    budget.check(&doc).expect("exactly at cap is within budget");
+    assert_eq!(tokenize(&doc).plain_text(), doc);
     let over = "x".repeat(101);
-    let err = tokenize_budgeted(&over, &budget).unwrap_err();
+    let err = budget.check(&over).unwrap_err();
     assert_eq!(err.cap, 100);
     assert_eq!(err.observed, 101);
 }

@@ -177,7 +177,7 @@ impl Recognizer {
         DataRecordTable { entries }
     }
 
-    /// Governed form of [`Recognizer::recognize`].
+    /// Governed form of [`Recognizer::recognize`], reporting to `sink`.
     ///
     /// The one-pass scan is the recognizer's indivisible unit of work — the
     /// lock-step multi-pattern engine cannot stop mid-pass without losing
@@ -185,39 +185,14 @@ impl Recognizer {
     /// deadline is checked *before* the scan (an expired budget skips it
     /// entirely and yields an empty table), and `max_text_bytes` caps how
     /// much text the one pass may cover (cut at a character boundary).
-    /// Either degradation is reported in the result, never silent.
+    /// Either degradation is reported in the result, never silent; the
+    /// caller decides how to trace it.
+    ///
+    /// The pass is timed as a `"recognize"` span and — when the sink is
+    /// enabled — a [`Recognized`](rbd_trace::TraceEvent::Recognized) event
+    /// records how many text bytes were actually scanned and how many
+    /// table entries came out.
     pub fn recognize_governed(
-        &self,
-        text: &str,
-        max_text_bytes: Option<usize>,
-        deadline: &Deadline,
-    ) -> GovernedRecognition {
-        if deadline.is_expired() {
-            return GovernedRecognition {
-                table: DataRecordTable::default(),
-                truncation: None,
-                skipped: Some(deadline.exceeded()),
-            };
-        }
-        let (scanned, truncation) = match max_text_bytes {
-            Some(cap) => rbd_limits::truncate_at_char_boundary(text, cap),
-            None => (text, None),
-        };
-        GovernedRecognition {
-            table: self.recognize(scanned),
-            truncation,
-            skipped: None,
-        }
-    }
-
-    /// [`Recognizer::recognize_governed`] with a
-    /// [`TraceSink`](rbd_trace::TraceSink): the one-pass scan is timed as
-    /// a `"recognize"` span and — when the sink is enabled — a
-    /// [`Recognized`](rbd_trace::TraceEvent::Recognized) event records how
-    /// many text bytes were actually scanned and how many table entries
-    /// came out. Degradations (truncation, deadline skip) are returned in
-    /// the result as before; the caller decides how to report them.
-    pub fn recognize_governed_traced(
         &self,
         text: &str,
         max_text_bytes: Option<usize>,
@@ -225,7 +200,23 @@ impl Recognizer {
         sink: &dyn rbd_trace::TraceSink,
     ) -> GovernedRecognition {
         let span = rbd_trace::Span::start_if("recognize", sink);
-        let governed = self.recognize_governed(text, max_text_bytes, deadline);
+        let governed = if deadline.is_expired() {
+            GovernedRecognition {
+                table: DataRecordTable::default(),
+                truncation: None,
+                skipped: Some(deadline.exceeded()),
+            }
+        } else {
+            let (scanned, truncation) = match max_text_bytes {
+                Some(cap) => rbd_limits::truncate_at_char_boundary(text, cap),
+                None => (text, None),
+            };
+            GovernedRecognition {
+                table: self.recognize(scanned),
+                truncation,
+                skipped: None,
+            }
+        };
         if let Some(span) = span {
             span.finish(sink);
         }
@@ -422,7 +413,7 @@ mod tests {
     fn governed_recognition_full_run_matches_ungoverned() {
         let rec = Recognizer::new(&domains::obituaries()).unwrap();
         let text = "Ann B. Smith died on May 1, 1998, age 90.";
-        let g = rec.recognize_governed(text, None, &Deadline::unbounded());
+        let g = rec.recognize_governed(text, None, &Deadline::unbounded(), &rbd_trace::NullSink);
         assert!(g.is_complete());
         assert_eq!(g.table.entries(), rec.recognize(text).entries());
     }
@@ -432,7 +423,12 @@ mod tests {
         let rec = Recognizer::new(&domains::obituaries()).unwrap();
         let text = "Ann B. Smith died on May 1, 1998. Bob C. Jones died on May 2, 1998.";
         let cap = 34; // covers only the first sentence
-        let g = rec.recognize_governed(text, Some(cap), &Deadline::unbounded());
+        let g = rec.recognize_governed(
+            text,
+            Some(cap),
+            &Deadline::unbounded(),
+            &rbd_trace::NullSink,
+        );
         let t = g.truncation.expect("cap cut the text");
         assert_eq!(t.limit, rbd_limits::LimitKind::TextBytes);
         assert_eq!(t.observed, text.len());
@@ -446,7 +442,12 @@ mod tests {
     fn governed_recognition_skips_on_expired_deadline() {
         let rec = Recognizer::new(&domains::obituaries()).unwrap();
         let spent = Deadline::after(std::time::Duration::ZERO);
-        let g = rec.recognize_governed("Ann B. Smith died on May 1, 1998.", None, &spent);
+        let g = rec.recognize_governed(
+            "Ann B. Smith died on May 1, 1998.",
+            None,
+            &spent,
+            &rbd_trace::NullSink,
+        );
         assert!(g.table.is_empty());
         let skipped = g.skipped.expect("scan was skipped");
         assert_eq!(skipped.limit, rbd_limits::LimitKind::WallClock);

@@ -29,6 +29,5 @@ pub mod http;
 pub mod server;
 
 pub use http::{HttpCaps, HttpError, Request, Response};
-pub use server::{
-    extraction_response_json, ServeConfig, ServeError, ServeReport, Server, ShutdownHandle,
-};
+pub use rbd_store::extraction_response_json;
+pub use server::{ServeConfig, ServeError, ServeReport, Server, ShutdownHandle};

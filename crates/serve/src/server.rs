@@ -33,11 +33,11 @@
 //!   than holding the process open.
 
 use crate::http::{self, HttpCaps, HttpError, Request, Response};
-use rbd_core::{DiscoveryError, Extraction, ExtractorConfig, Limits, Record, RecordExtractor};
+use rbd_core::{DiscoveryError, Extraction, ExtractorConfig, Limits, RecordExtractor};
 use rbd_json::Json;
 use rbd_limits::Deadline;
 use rbd_pipeline::{Admission, Pool, PoolConfig, PoolError, ShedMode, ShedPolicy, TrySubmitError};
-use rbd_store::{ContentHash, Store, StoredDoc};
+use rbd_store::{extraction_response_json, ContentHash, Store, StoredDoc};
 use rbd_trace::{
     export, unix_micros, MetricsSink, NullSink, RegistrySnapshot, RollingWindows, ScopedSink,
     ServerEvent, SlowCapture, SlowLog, SpanId, SpanRecord, TraceEvent, TraceId, TraceSink,
@@ -446,14 +446,9 @@ impl Server {
         audit: Option<Arc<dyn TraceSink>>,
     ) -> Result<Self, ServeError> {
         let metrics = Arc::new(MetricsSink::new());
-        let sink: Arc<dyn TraceSink> = Arc::clone(&metrics) as Arc<dyn TraceSink>;
         let profile = |limits: Limits| -> Result<RecordExtractor, ServeError> {
-            RecordExtractor::new(
-                ExtractorConfig::default()
-                    .with_limits(limits)
-                    .with_sink(Arc::clone(&sink)),
-            )
-            .map_err(|e| ServeError::Extractor(e.to_string()))
+            RecordExtractor::new(ExtractorConfig::default().with_limits(limits))
+                .map_err(|e| ServeError::Extractor(e.to_string()))
         };
         let profiles = Profiles {
             default_profile: profile(Limits::default())?,
@@ -902,7 +897,7 @@ fn extract(ctx: &Ctx, rt: &RequestTrace, request: &Request, admission: Admission
             let scoped = ScopedSink::new(rt, rt.trace, Some(rt.worker));
             extractor.extract_records_traced(html, &scoped)
         } else {
-            extractor.extract_records(html)
+            extractor.extract_records_traced(html, ctx.metrics.as_ref())
         }
     }));
     match outcome {
@@ -1066,29 +1061,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "opaque panic payload".to_string()
     }
-}
-
-/// The `200 OK` body for `/extract`, and the soak harness's comparison
-/// key: the same extraction must serialize byte-identically whether it
-/// ran through the service or the serial engine.
-pub fn extraction_response_json(extraction: &Extraction) -> Json {
-    Json::object([
-        ("separator", Json::Str(extraction.outcome.separator.clone())),
-        ("preamble", Json::Bool(extraction.preamble.is_some())),
-        (
-            "records",
-            Json::array(extraction.records.iter().map(record_json)),
-        ),
-        ("degraded", Json::UInt(extraction.degradation.len() as u64)),
-    ])
-}
-
-fn record_json(record: &Record) -> Json {
-    Json::object([
-        ("start", Json::UInt(record.start as u64)),
-        ("end", Json::UInt(record.end as u64)),
-        ("text", Json::Str(record.text.clone())),
-    ])
 }
 
 /// The `GET /metrics.json` body: a small curated `server` block, the

@@ -27,11 +27,7 @@ impl StoredRecord {
     }
 
     fn to_json(&self) -> Json {
-        Json::object([
-            ("start", Json::UInt(self.start)),
-            ("end", Json::UInt(self.end)),
-            ("text", Json::Str(self.text.clone())),
-        ])
+        record_json(self.start, self.end, &self.text)
     }
 
     fn from_json(json: &Json) -> Option<Self> {
@@ -41,6 +37,49 @@ impl StoredRecord {
             text: json.get("text")?.as_str()?.to_owned(),
         })
     }
+}
+
+/// One record as `{start, end, text}` — the shape shared by the response
+/// body and the persisted frame.
+fn record_json(start: u64, end: u64, text: &str) -> Json {
+    Json::object([
+        ("start", Json::UInt(start)),
+        ("end", Json::UInt(end)),
+        ("text", Json::Str(text.to_owned())),
+    ])
+}
+
+/// The canonical extraction-response object:
+/// `{separator, preamble, records, degraded}`.
+fn response_json(
+    separator: &str,
+    preamble: bool,
+    records: impl IntoIterator<Item = Json>,
+    degraded: u64,
+) -> Json {
+    Json::object([
+        ("separator", Json::Str(separator.to_owned())),
+        ("preamble", Json::Bool(preamble)),
+        ("records", Json::array(records)),
+        ("degraded", Json::UInt(degraded)),
+    ])
+}
+
+/// The extraction-response JSON of a fresh extraction — the `200 OK` body
+/// of `rbd serve`'s `/extract`, and the comparison key that serial,
+/// batched, served and cached results must match byte for byte. A stored
+/// document's [`StoredDoc::response_json`] is built by the same encoder,
+/// so a cache hit is byte-identical to a cache miss.
+#[must_use]
+pub fn extraction_response_json(ex: &Extraction) -> Json {
+    response_json(
+        &ex.outcome.separator,
+        ex.preamble.is_some(),
+        ex.records
+            .iter()
+            .map(|r| record_json(r.start as u64, r.end as u64, &r.text)),
+        ex.degradation.len() as u64,
+    )
 }
 
 /// Non-negative integer view of a JSON number (`rbd-json` parses unsigned
@@ -89,20 +128,17 @@ impl StoredDoc {
         }
     }
 
-    /// The canonical extraction-response JSON — the same shape (and, via
-    /// `to_compact`, the same bytes) `rbd-serve` returns for a fresh
-    /// extraction, so a cache hit is byte-identical to a cache miss.
+    /// The canonical extraction-response JSON — built by the same encoder
+    /// as [`extraction_response_json`], so a cache hit is byte-identical to
+    /// a cache miss.
     #[must_use]
     pub fn response_json(&self) -> Json {
-        Json::object([
-            ("separator", Json::Str(self.separator.clone())),
-            ("preamble", Json::Bool(self.preamble.is_some())),
-            (
-                "records",
-                Json::array(self.records.iter().map(StoredRecord::to_json)),
-            ),
-            ("degraded", Json::UInt(self.degraded)),
-        ])
+        response_json(
+            &self.separator,
+            self.preamble.is_some(),
+            self.records.iter().map(StoredRecord::to_json),
+            self.degraded,
+        )
     }
 
     /// Serializes the frame body (everything but the hash, which lives in

@@ -57,6 +57,6 @@ pub mod hash;
 pub mod log;
 
 pub use db::{database_from_docs, store_scheme, DOCS_RELATION, TEXTS_RELATION};
-pub use doc::{StoredDoc, StoredRecord};
+pub use doc::{extraction_response_json, StoredDoc, StoredRecord};
 pub use hash::{crc32, fingerprint256, sha256, ContentHash};
 pub use log::{HitEntry, Store, StoreError, MAGIC, VERSION};

@@ -3,14 +3,16 @@
 
 use crate::event::{normalize_tokens, NormalizeStats};
 use crate::tree::{tree_from_events_budgeted, TagTree, TreeBudget, TreeError};
-use rbd_html::{TokenBudget, TokenStream, Tokenizer};
+use rbd_html::{tokenize, tokenize_xml, TokenBudget, TokenStream};
+use rbd_trace::{NullSink, Span, TraceEvent, TraceSink};
 
 /// Builds [`TagTree`]s from raw HTML.
 ///
 /// The default builder is unbudgeted and reproduces the historical
 /// behavior byte for byte; [`TagTreeBuilder::with_budget`] adds resource
-/// caps for hostile input (enforced through the fallible `try_*` API —
-/// the infallible `build` degrades a breached budget to an empty tree).
+/// caps for hostile input (enforced through the fallible
+/// [`TagTreeBuilder::try_build`] — the infallible `build` degrades a
+/// breached budget to an empty tree).
 #[derive(Debug, Clone, Default)]
 pub struct TagTreeBuilder {
     xml: bool,
@@ -30,7 +32,7 @@ impl TagTreeBuilder {
         self
     }
 
-    /// Sets the resource budget enforced by the `try_*` build methods.
+    /// Sets the resource budget enforced by the fallible build methods.
     pub fn with_budget(mut self, budget: TreeBudget) -> Self {
         self.budget = budget;
         self
@@ -40,90 +42,62 @@ impl TagTreeBuilder {
     ///
     /// Never fails: malformed HTML is repaired per Appendix A (missing
     /// end-tags inserted, comments and orphan end-tags discarded), and the
-    /// theoretical-only construction errors of [`TagTreeBuilder::try_build`]
-    /// degrade to a root-only tree.
+    /// errors of [`TagTreeBuilder::try_build`] degrade to a root-only tree.
     pub fn build(&self, source: &str) -> TagTree {
-        self.build_with_stats(source).0
+        self.try_build(source, &NullSink)
+            .map_or_else(|_| TagTree::empty(source.len()), |(tree, _)| tree)
     }
 
-    /// Like [`TagTreeBuilder::build`], also returning what normalization had
-    /// to repair.
-    pub fn build_with_stats(&self, source: &str) -> (TagTree, NormalizeStats) {
-        let source_len = source.len();
-        self.try_build_with_stats(source)
-            .unwrap_or_else(|_| (TagTree::empty(source_len), NormalizeStats::default()))
-    }
-
-    /// Builds from an existing token stream (lets callers reuse tokens for
-    /// other purposes, e.g. the recognizer).
-    pub fn build_from_tokens(
-        &self,
-        source_len: usize,
-        tokens: &TokenStream,
-    ) -> (TagTree, NormalizeStats) {
-        self.try_build_from_tokens(source_len, tokens)
-            .unwrap_or_else(|_| (TagTree::empty(source_len), NormalizeStats::default()))
-    }
-
-    /// Fallible form of [`TagTreeBuilder::build`].
+    /// Fallible build under the configured budget, reporting to `sink`:
+    /// the tokenizer pass is timed as a `"tokenize"` span, tree
+    /// construction as a `"tree_build"` span, and — when the sink is
+    /// enabled — `Tokenized` and [`TreeBuilt`](TraceEvent::TreeBuilt)
+    /// events record the token stream's shape, the node count, and what
+    /// normalization repaired. Also returns those repairs.
     ///
-    /// With the default (unbounded) budget the only reachable error is
-    /// [`TreeError::TooManyNodes`] on documents with more than `u32::MAX`
-    /// start-tags — normalization guarantees a balanced event stream. A
-    /// builder configured via [`TagTreeBuilder::with_budget`] additionally
-    /// returns [`TreeError::Limit`] when a cap trips.
-    pub fn try_build(&self, source: &str) -> Result<TagTree, TreeError> {
-        self.try_build_with_stats(source).map(|(tree, _)| tree)
-    }
-
-    /// Fallible form of [`TagTreeBuilder::build_with_stats`].
-    pub fn try_build_with_stats(
+    /// # Errors
+    /// [`TreeError::Limit`] when a cap of the budget set via
+    /// [`TagTreeBuilder::with_budget`] trips (an over-cap input is rejected
+    /// before anything is scanned or traced). With the default (unbounded)
+    /// budget the only reachable error is [`TreeError::TooManyNodes`] on
+    /// documents with more than `u32::MAX` start-tags — normalization
+    /// guarantees a balanced event stream.
+    pub fn try_build(
         &self,
         source: &str,
+        sink: &dyn TraceSink,
     ) -> Result<(TagTree, NormalizeStats), TreeError> {
         TokenBudget {
             max_input_bytes: self.budget.max_input_bytes,
         }
         .check(source)?;
+        let span = Span::start_if("tokenize", sink);
         let tokens = if self.xml {
-            Tokenizer::new_xml(source).run()
+            tokenize_xml(source)
         } else {
-            Tokenizer::new(source).run()
+            tokenize(source)
         };
-        self.try_build_from_tokens(source.len(), &tokens)
-    }
-
-    /// Like [`TagTreeBuilder::try_build_with_stats`] but reporting to a
-    /// [`TraceSink`](rbd_trace::TraceSink): the tokenizer pass is traced
-    /// via [`rbd_html::tokenize_traced`] (a `"tokenize"` span plus a
-    /// `Tokenized` event), tree construction gets a `"tree_build"` span,
-    /// and — when the sink is enabled — a
-    /// [`TreeBuilt`](rbd_trace::TraceEvent::TreeBuilt) event records the
-    /// node count and what normalization repaired.
-    ///
-    /// # Errors
-    /// Same contract as [`TagTreeBuilder::try_build_with_stats`].
-    pub fn try_build_traced(
-        &self,
-        source: &str,
-        sink: &dyn rbd_trace::TraceSink,
-    ) -> Result<(TagTree, NormalizeStats), TreeError> {
-        let tokens = rbd_html::tokenize_traced(
-            source,
-            self.xml,
-            &TokenBudget {
-                max_input_bytes: self.budget.max_input_bytes,
-            },
-            sink,
-        )?;
-        let span = rbd_trace::Span::start_if("tree_build", sink);
+        if let Some(span) = span {
+            span.finish(sink);
+        }
+        if sink.enabled() {
+            let tags = tokens.tags().count();
+            sink.add("extract_tags_scanned", tags as u64);
+            sink.event(TraceEvent::Tokenized {
+                bytes: source.len(),
+                tokens: tokens.tokens.len(),
+                tags,
+                warnings: tokens.warnings.len(),
+            });
+        }
+        let span = Span::start_if("tree_build", sink);
         let built = self.try_build_from_tokens(source.len(), &tokens);
         if let Some(span) = span {
             span.finish(sink);
         }
         if sink.enabled() {
             if let Ok((tree, stats)) = &built {
-                sink.event(rbd_trace::TraceEvent::TreeBuilt {
+                sink.event(TraceEvent::TreeBuilt {
                     nodes: tree.len(),
                     end_tags_inserted: stats.end_tags_inserted,
                     orphan_end_tags: stats.orphan_end_tags,
@@ -133,7 +107,9 @@ impl TagTreeBuilder {
         built
     }
 
-    /// Fallible form of [`TagTreeBuilder::build_from_tokens`].
+    /// Builds from an existing token stream (lets callers reuse tokens for
+    /// other purposes, e.g. the recognizer). Uninstrumented, and the input
+    /// byte cap is the caller's to check: only the tree caps apply here.
     pub fn try_build_from_tokens(
         &self,
         source_len: usize,
@@ -156,7 +132,7 @@ mod tests {
     fn build_and_stats_agree() {
         let b = TagTreeBuilder::new();
         let src = "<td><br>a<hr>b</td>";
-        let (tree, stats) = b.build_with_stats(src);
+        let (tree, stats) = b.try_build(src, &NullSink).unwrap();
         assert_eq!(stats.end_tags_inserted, 2);
         assert_eq!(tree.len(), b.build(src).len());
     }
@@ -224,7 +200,9 @@ mod proptests {
     #[test]
     fn node_count_matches_start_tags() {
         check("node_count_matches_start_tags", &arb_fragment(), |src| {
-            let (tree, stats) = TagTreeBuilder::new().build_with_stats(src);
+            let (tree, stats) = TagTreeBuilder::new()
+                .try_build(src, &NullSink)
+                .map_err(|e| e.to_string())?;
             prop_assert_eq!(tree.len(), stats.start_tags + 1);
             Ok(())
         });

@@ -858,7 +858,7 @@ mod tests {
             max_nodes: Some(100),
             ..TreeBudget::default()
         });
-        match builder.try_build(&bomb) {
+        match builder.try_build(&bomb, &rbd_trace::NullSink) {
             Err(super::TreeError::Limit(e)) => {
                 assert_eq!(e.limit, LimitKind::TreeNodes);
                 assert_eq!(e.cap, 100);
@@ -867,7 +867,9 @@ mod tests {
             other => panic!("expected node-limit error, got {other:?}"),
         }
         // Exactly at the cap (99 start tags + root = 100 nodes) still builds.
-        let ok = builder.try_build(&"<b>".repeat(99)).unwrap();
+        let (ok, _) = builder
+            .try_build(&"<b>".repeat(99), &rbd_trace::NullSink)
+            .unwrap();
         assert_eq!(ok.len(), 100);
     }
 
@@ -882,7 +884,7 @@ mod tests {
             max_depth: Some(16),
             ..TreeBudget::default()
         });
-        match builder.try_build(&nested_divs(64)) {
+        match builder.try_build(&nested_divs(64), &rbd_trace::NullSink) {
             Err(super::TreeError::Limit(e)) => {
                 assert_eq!(e.limit, LimitKind::NestingDepth);
                 assert_eq!(e.cap, 16);
@@ -890,9 +892,13 @@ mod tests {
             other => panic!("expected depth-limit error, got {other:?}"),
         }
         // Exactly at the cap still builds: 16 nested divs reach depth 16.
-        assert!(builder.try_build(&nested_divs(16)).is_ok());
+        assert!(builder
+            .try_build(&nested_divs(16), &rbd_trace::NullSink)
+            .is_ok());
         // Siblings don't accumulate depth.
-        assert!(builder.try_build(&"<b></b>".repeat(500)).is_ok());
+        assert!(builder
+            .try_build(&"<b></b>".repeat(500), &rbd_trace::NullSink)
+            .is_ok());
     }
 
     #[test]
@@ -904,7 +910,7 @@ mod tests {
             ..TreeBudget::default()
         });
         let doc = "<b>hello</b>".repeat(10);
-        match builder.try_build(&doc) {
+        match builder.try_build(&doc, &rbd_trace::NullSink) {
             Err(super::TreeError::Limit(e)) => {
                 assert_eq!(e.limit, LimitKind::InputBytes);
                 assert_eq!(e.observed, doc.len());

@@ -10,6 +10,7 @@
 
 use rbd_prop::{check, gen, Gen};
 use rbd_tagtree::{event, normalize, TagTreeBuilder};
+use rbd_trace::NullSink;
 
 /// Checks every structural invariant the tree promises, panicking (and thus
 /// failing the property — the runner catches and minimizes panics) if any
@@ -18,7 +19,9 @@ fn assert_well_formed(src: &str) {
     let (events, _, _) = normalize(src);
     assert!(event::is_balanced(&events), "unbalanced events for {src:?}");
 
-    let (tree, stats) = TagTreeBuilder::new().build_with_stats(src);
+    let (tree, stats) = TagTreeBuilder::new()
+        .try_build(src, &NullSink)
+        .expect("normalized streams always build");
     assert_eq!(
         tree.len(),
         stats.start_tags + 1,
@@ -38,11 +41,8 @@ fn assert_well_formed(src: &str) {
         let _ = node.region.slice(src);
         let _ = node.start_tag.slice(src);
     }
-    // The fallible API agrees with the infallible one on real documents.
-    let tried = TagTreeBuilder::new()
-        .try_build(src)
-        .expect("normalized streams always build");
-    assert_eq!(tried.len(), tree.len());
+    // The infallible API agrees with the fallible one on real documents.
+    assert_eq!(TagTreeBuilder::new().build(src).len(), tree.len());
 }
 
 fn well_formed(src: &str) -> Result<(), String> {

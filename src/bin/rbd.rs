@@ -25,7 +25,8 @@ use rbd::db::InstanceGenerator;
 use rbd::ontology::{domains, parse_ontology, Ontology};
 use rbd::recognizer::Recognizer;
 use rbd::tagtree::TagTreeBuilder;
-use rbd::trace::CollectingSink;
+use rbd::trace::{CollectingSink, NullSink, TraceSink};
+use rbd_json::Json;
 use std::fmt::Write as _;
 use std::io::{Read, Write as _};
 use std::process::ExitCode;
@@ -197,20 +198,15 @@ fn read_input(file: Option<&str>) -> Result<String, String> {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// Rows as a JSON array of `{column: value}` objects, NULL cells as
+/// `null` — the `--json` shape of `query` and `pipeline`.
+fn rows_json<C: AsRef<str>>(columns: &[C], rows: &[Vec<Option<String>>]) -> Json {
+    Json::array(rows.iter().map(|row| {
+        Json::object(columns.iter().zip(row).map(|(c, v)| {
+            let value = v.as_ref().map_or(Json::Null, |v| Json::Str(v.clone()));
+            (c.as_ref(), value)
+        }))
+    }))
 }
 
 /// Writes `text` to stdout, ignoring errors — `rbd … | head` must not
@@ -254,9 +250,9 @@ fn run_batch_files(
         let html = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         docs.push((id, html));
     }
-    let trace_sink: Arc<dyn rbd::trace::TraceSink> = match sink {
-        Some(s) => Arc::clone(s) as Arc<dyn rbd::trace::TraceSink>,
-        None => Arc::new(rbd::trace::NullSink),
+    let trace_sink: Arc<dyn TraceSink> = match sink {
+        Some(s) => Arc::clone(s) as Arc<dyn TraceSink>,
+        None => Arc::new(NullSink),
     };
     let config = rbd::pipeline::BatchConfig::with_jobs(args.jobs);
     if let Some(store_path) = &args.store {
@@ -321,7 +317,7 @@ fn run_batch_files_stored(
     args: &Args,
     extractor: &RecordExtractor,
     config: &rbd::pipeline::BatchConfig,
-    trace_sink: &Arc<dyn rbd::trace::TraceSink>,
+    trace_sink: &Arc<dyn TraceSink>,
     store_path: &str,
     docs: Vec<(u64, String)>,
     out: &mut String,
@@ -411,30 +407,14 @@ fn run_query(args: &Args, out: &mut String) -> Result<(), String> {
     match rbd::db::expr::run(&db, &expr).map_err(|e| e.to_string())? {
         rbd::db::ResultSet::Count(n) => {
             if args.json {
-                let _ = writeln!(out, "{{\"count\":{n}}}");
+                let _ = writeln!(out, "{}", Json::object([("count", Json::UInt(n as u64))]));
             } else {
                 let _ = writeln!(out, "{n}");
             }
         }
         rbd::db::ResultSet::Rows { columns, rows } => {
             if args.json {
-                let objects: Vec<String> = rows
-                    .iter()
-                    .map(|row| {
-                        let fields: Vec<String> = columns
-                            .iter()
-                            .zip(row)
-                            .map(|(c, v)| match v {
-                                Some(v) => {
-                                    format!("\"{}\":\"{}\"", json_escape(c), json_escape(v))
-                                }
-                                None => format!("\"{}\":null", json_escape(c)),
-                            })
-                            .collect();
-                        format!("{{{}}}", fields.join(","))
-                    })
-                    .collect();
-                let _ = writeln!(out, "[{}]", objects.join(","));
+                let _ = writeln!(out, "{}", rows_json(&columns, &rows));
             } else {
                 let _ = writeln!(out, "{}", columns.join("\t"));
                 for row in &rows {
@@ -462,8 +442,7 @@ fn run_serve(args: &Args, sink: Option<&Arc<CollectingSink>>) -> Result<(), Stri
         store: args.store.clone().map(std::path::PathBuf::from),
         ..rbd::serve::ServeConfig::default()
     };
-    let audit: Option<Arc<dyn rbd::trace::TraceSink>> =
-        sink.map(|s| Arc::clone(s) as Arc<dyn rbd::trace::TraceSink>);
+    let audit: Option<Arc<dyn TraceSink>> = sink.map(|s| Arc::clone(s) as Arc<dyn TraceSink>);
     let server = rbd::serve::Server::bind(config, audit).map_err(|e| e.to_string())?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
     eprintln!("rbd serve: listening on {addr} ({} workers)", args.jobs);
@@ -516,9 +495,10 @@ fn run() -> Result<(), String> {
     if let Some(ontology) = args.ontology.clone() {
         config = config.with_ontology(ontology);
     }
-    if let Some(sink) = &sink {
-        config = config.with_sink(Arc::clone(sink) as Arc<dyn rbd::trace::TraceSink>);
-    }
+    let trace_sink: &dyn TraceSink = match &sink {
+        Some(sink) => sink.as_ref(),
+        None => &NullSink,
+    };
 
     if args.command == "batch" {
         let extractor = RecordExtractor::new(config).map_err(|e| e.to_string())?;
@@ -561,28 +541,23 @@ fn run() -> Result<(), String> {
 
     match args.command.as_str() {
         "discover" => {
-            let outcome = extractor.discover(&html).map_err(|e| e.to_string())?;
+            let outcome = extractor
+                .discover_traced(&html, trace_sink)
+                .map_err(|e| e.to_string())?;
             if args.json {
-                let scored: Vec<String> = outcome
-                    .consensus
-                    .scored
-                    .iter()
-                    .map(|s| {
-                        format!(
-                            "{{\"tag\":\"{}\",\"certainty\":{:.6}}}",
-                            json_escape(&s.tag),
-                            s.certainty.value()
-                        )
-                    })
-                    .collect();
-                let _ = writeln!(
-                    out,
-                    "{{\"separator\":\"{sep}\",\"subtree\":\"{sub}\",\"candidates\":{n},\"scored\":[{scored}]}}",
-                    sep = json_escape(&outcome.separator),
-                    sub = json_escape(&outcome.subtree_tag),
-                    n = outcome.candidates.len(),
-                    scored = scored.join(",")
-                );
+                let scored = outcome.consensus.scored.iter().map(|s| {
+                    Json::object([
+                        ("tag", Json::Str(s.tag.clone())),
+                        ("certainty", Json::Float(s.certainty.value())),
+                    ])
+                });
+                let json = Json::object([
+                    ("separator", Json::Str(outcome.separator.clone())),
+                    ("subtree", Json::Str(outcome.subtree_tag.clone())),
+                    ("candidates", Json::UInt(outcome.candidates.len() as u64)),
+                    ("scored", Json::array(scored)),
+                ]);
+                let _ = writeln!(out, "{json}");
             } else {
                 let _ = writeln!(out, "highest-fan-out subtree: <{}>", outcome.subtree_tag);
                 for ranking in &outcome.rankings {
@@ -596,27 +571,21 @@ fn run() -> Result<(), String> {
         }
         "extract" => {
             let extraction = extractor
-                .extract_records(&html)
+                .extract_records_traced(&html, trace_sink)
                 .map_err(|e| e.to_string())?;
             if args.json {
-                let records: Vec<String> = extraction
-                    .records
-                    .iter()
-                    .map(|r| {
-                        format!(
-                            "{{\"start\":{},\"end\":{},\"text\":\"{}\"}}",
-                            r.start,
-                            r.end,
-                            json_escape(&r.text)
-                        )
-                    })
-                    .collect();
-                let _ = writeln!(
-                    out,
-                    "{{\"separator\":\"{}\",\"records\":[{}]}}",
-                    json_escape(&extraction.outcome.separator),
-                    records.join(",")
-                );
+                let records = extraction.records.iter().map(|r| {
+                    Json::object([
+                        ("start", Json::UInt(r.start as u64)),
+                        ("end", Json::UInt(r.end as u64)),
+                        ("text", Json::Str(r.text.clone())),
+                    ])
+                });
+                let json = Json::object([
+                    ("separator", Json::Str(extraction.outcome.separator.clone())),
+                    ("records", Json::array(records)),
+                ]);
+                let _ = writeln!(out, "{json}");
             } else {
                 for (i, r) in extraction.records.iter().enumerate() {
                     let _ = writeln!(out, "--- record {i} ---");
@@ -629,7 +598,7 @@ fn run() -> Result<(), String> {
                 .ontology
                 .ok_or("pipeline requires --ontology or --ontology-file")?;
             let extraction = extractor
-                .extract_records(&html)
+                .extract_records_traced(&html, trace_sink)
                 .map_err(|e| e.to_string())?;
             let recognizer = Recognizer::new(&ontology).map_err(|e| e.to_string())?;
             let tables: Vec<_> = extraction
@@ -647,24 +616,7 @@ fn run() -> Result<(), String> {
                     .iter()
                     .map(|c| c.name.as_str())
                     .collect();
-                let rows: Vec<String> = entity
-                    .rows()
-                    .iter()
-                    .map(|row| {
-                        let fields: Vec<String> = cols
-                            .iter()
-                            .zip(row)
-                            .map(|(c, v)| match v {
-                                Some(v) => {
-                                    format!("\"{}\":\"{}\"", json_escape(c), json_escape(v))
-                                }
-                                None => format!("\"{}\":null", json_escape(c)),
-                            })
-                            .collect();
-                        format!("{{{}}}", fields.join(","))
-                    })
-                    .collect();
-                let _ = writeln!(out, "[{}]", rows.join(","));
+                let _ = writeln!(out, "{}", rows_json(&cols, entity.rows()));
             } else {
                 let _ = write!(out, "{db}");
             }

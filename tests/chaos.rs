@@ -113,19 +113,15 @@ fn limits_cap_for(kind: LimitKind) -> Option<usize> {
 #[test]
 fn full_pipeline_survives_the_adversarial_corpus() {
     // Property 6: a live sink collects through the whole sweep.
-    let sink = Arc::new(CollectingSink::new());
-    let ex = RecordExtractor::new(
-        ExtractorConfig::default()
-            .with_limits(Limits::strict())
-            .with_sink(Arc::clone(&sink) as Arc<dyn TraceSink>),
-    )
-    .unwrap();
+    let sink = CollectingSink::new();
+    let ex =
+        RecordExtractor::new(ExtractorConfig::default().with_limits(Limits::strict())).unwrap();
     for kind in AttackKind::ALL {
         for index in 0..PER_KIND {
             let doc = generate_adversarial(kind, index, CHAOS_SEED);
-            check_outcome(kind, index, &doc, ex.discover(&doc));
+            check_outcome(kind, index, &doc, ex.discover_traced(&doc, &sink));
             // Chunking after a successful discovery must also hold up.
-            if let Ok(extraction) = ex.extract_records(&doc) {
+            if let Ok(extraction) = ex.extract_records_traced(&doc, &sink) {
                 assert_eq!(extraction.degradation, extraction.outcome.degradation);
                 let total: usize = extraction.records.len();
                 assert!(

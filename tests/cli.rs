@@ -1,6 +1,8 @@
 //! Integration tests for the `rbd` command-line tool, driving the compiled
 //! binary the way a user would.
 
+use rbd::core::RecordExtractor;
+use rbd_json::Json;
 use std::io::Write;
 use std::process::{Command, Stdio};
 
@@ -64,6 +66,36 @@ fn extract_prints_three_records() {
     assert!(ok);
     assert_eq!(stdout.matches("--- record ").count(), 3, "{stdout}");
     assert!(stdout.contains("Bob C. Jones"));
+}
+
+#[test]
+fn extract_json_escapes_record_text() {
+    // Quotes, backslashes, a tab (squeezed to a space by markup cleaning)
+    // and a raw control byte in the record text.
+    let page = "<html><body><td>\
+      <hr><b>Ann</b> said \"hi\" \\ bye\tnow \u{1} end.\
+      <hr><b>Bob</b> said \"yo\" \\ later\tthen \u{1} end.\
+      <hr><b>Cal</b> said \"ok\" \\ done\tsoon \u{1} end.\
+      <hr></td></body></html>";
+    let (stdout, stderr, ok) = run_with_stdin(&["extract", "--json"], page);
+    assert!(ok, "stderr: {stderr}");
+    let json = Json::parse(stdout.trim()).unwrap_or_else(|e| panic!("{e}: {stdout}"));
+    let expected = RecordExtractor::default().extract_records(page).unwrap();
+    assert_eq!(
+        json.get("separator").and_then(Json::as_str),
+        Some(expected.outcome.separator.as_str())
+    );
+    let Some(Json::Array(records)) = json.get("records") else {
+        panic!("records array missing: {stdout}")
+    };
+    assert_eq!(records.len(), expected.records.len());
+    for (record, want) in records.iter().zip(&expected.records) {
+        let text = record.get("text").and_then(Json::as_str).expect("text");
+        assert_eq!(text, want.text);
+        for needle in ["\"", "\\", "\u{1}"] {
+            assert!(text.contains(needle), "{needle:?} lost from {text:?}");
+        }
+    }
 }
 
 #[test]

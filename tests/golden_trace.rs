@@ -20,7 +20,6 @@ use rbd::prelude::*;
 use rbd_corpus::adversarial::{generate_adversarial, AttackKind};
 use rbd_corpus::{generate_document, sites, Domain};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// Same corpus seed the evaluation suite uses.
 const SEED: u64 = 1998;
@@ -41,10 +40,9 @@ fn golden_path(name: &str) -> PathBuf {
 /// to the failure is exactly what the golden pins), so the result is
 /// deliberately dropped.
 fn traced_events(config: ExtractorConfig, html: &str) -> String {
-    let sink = Arc::new(CollectingSink::new());
-    let traced = config.with_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
-    let extractor = RecordExtractor::new(traced).expect("config compiles");
-    let _ = extractor.extract_records(html);
+    let sink = CollectingSink::new();
+    let extractor = RecordExtractor::new(config).expect("config compiles");
+    let _ = extractor.extract_records_traced(html, &sink);
     let mut json = rbd::trace::events_to_json(&sink.events()).to_pretty();
     json.push('\n');
     json

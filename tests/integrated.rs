@@ -7,6 +7,7 @@ use rbd::core::{ExtractorConfig, RecordExtractor};
 use rbd::db::InstanceGenerator;
 use rbd::ontology::{domains, Ontology};
 use rbd::recognizer::Recognizer;
+use rbd::trace::NullSink;
 use rbd_corpus::{generate_document, sites, Domain};
 
 fn ontology_for(domain: Domain) -> Ontology {
@@ -33,7 +34,7 @@ fn integrated_discovery_agrees_across_the_corpus() {
             let doc = generate_document(style, domain, 0, rbd_eval::DEFAULT_SEED);
             let separate = extractor.discover(&doc.html).unwrap();
             let integrated = extractor
-                .discover_and_recognize(&doc.html, &recognizer)
+                .discover_and_recognize(&doc.html, &recognizer, &NullSink)
                 .unwrap();
             assert_eq!(
                 integrated.outcome.separator, separate.separator,
@@ -75,7 +76,7 @@ fn integrated_partitions_populate_like_per_record_recognition() {
 
     // Path B: integrated — one recognition, partitioned.
     let integrated = extractor
-        .discover_and_recognize(&doc.html, &recognizer)
+        .discover_and_recognize(&doc.html, &recognizer, &NullSink)
         .unwrap();
     let tables_b: Vec<_> = integrated
         .record_tables()

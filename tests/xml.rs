@@ -4,8 +4,12 @@
 //! exercised: record-boundary discovery over XML feeds.
 
 use rbd::core::{ExtractorConfig, RecordExtractor};
+use rbd::heuristics::Ranking;
 use rbd::html::{tokenize_xml, Token};
+use rbd::ontology::domains;
+use rbd::recognizer::Recognizer;
 use rbd::tagtree::TagTreeBuilder;
+use rbd::trace::NullSink;
 
 const FEED: &str = r#"<?xml version="1.0"?>
 <classifieds>
@@ -88,4 +92,33 @@ fn xml_records_chunk_cleanly() {
     assert_eq!(extraction.records.len(), 4);
     assert!(extraction.records[1].text.contains("Honda Accord"));
     assert!(extraction.preamble.unwrap().text.contains("Autos for sale"));
+}
+
+#[test]
+fn integrated_discovery_honours_xml_mode() {
+    // The §4.5 integrated path must build the tree exactly as `discover`
+    // does — in XML mode the record element keeps its case.
+    let ontology = domains::car_ads();
+    let extractor = RecordExtractor::new(
+        ExtractorConfig::default()
+            .xml()
+            .with_ontology(ontology.clone()),
+    )
+    .unwrap();
+    let recognizer = Recognizer::new(&ontology).unwrap();
+    let separate = extractor.discover(FEED).unwrap();
+    let integrated = extractor
+        .discover_and_recognize(FEED, &recognizer, &NullSink)
+        .unwrap();
+    assert_eq!(separate.separator, "Ad");
+    assert_eq!(integrated.outcome.separator, separate.separator);
+    assert_eq!(integrated.outcome.subtree_tag, separate.subtree_tag);
+    assert_eq!(integrated.outcome.subtree, separate.subtree);
+    let paper = |rankings: &[Ranking]| -> Vec<String> {
+        rankings.iter().map(Ranking::to_paper_string).collect()
+    };
+    assert_eq!(
+        paper(&integrated.outcome.rankings),
+        paper(&separate.rankings)
+    );
 }
