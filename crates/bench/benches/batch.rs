@@ -14,7 +14,7 @@
 use rbd_bench::{black_box, Harness};
 use rbd_core::RecordExtractor;
 use rbd_corpus::{generate_document, sites, Domain};
-use rbd_pipeline::{run_batch, BatchConfig, Pool, PoolConfig};
+use rbd_pipeline::{run_batch, run_ordered, BatchConfig};
 use rbd_trace::{NullSink, TraceSink};
 use std::sync::Arc;
 use std::time::Duration;
@@ -68,34 +68,19 @@ fn bench_latency_bound(h: &mut Harness) {
     for jobs in JOBS {
         group.bench_function(&format!("jobs_{jobs}"), |b| {
             b.iter(|| {
-                // Queue sized to the whole batch so the blocking submit
-                // loop below can never wedge on its own completions.
-                let config = PoolConfig::with_workers(jobs).with_queue_capacity(CORPUS_DOCS);
-                let pool = Pool::new(
-                    config,
-                    |i: u64, _| {
+                let run = run_ordered(
+                    jobs,
+                    0..u64::try_from(CORPUS_DOCS).expect("small corpus"),
+                    |i: u64| {
                         std::thread::sleep(FETCH);
                         i.wrapping_mul(i)
                     },
                     Arc::clone(&sink),
                 )
                 .expect("valid pool config");
-                for i in 0..u64::try_from(CORPUS_DOCS).expect("small corpus") {
-                    pool.submit(i).expect("pool open");
-                }
-                let mut received = 0usize;
-                while received < CORPUS_DOCS {
-                    match pool.recv_result() {
-                        Some(result) => {
-                            black_box(result.output.expect("no panics"));
-                            received += 1;
-                        }
-                        None => break,
-                    }
-                }
-                let report = pool.shutdown();
-                assert!(report.unclaimed.is_empty(), "clean drain");
-                black_box(received)
+                assert_eq!(run.results.len(), CORPUS_DOCS, "clean drain");
+                assert!(run.results.iter().all(|r| r.output.is_ok()), "no panics");
+                black_box(run.results)
             });
         });
     }

@@ -126,10 +126,6 @@ pub enum DegradationStage {
     /// The recognizer's pass was skipped (wall clock) or covered only a
     /// text prefix (text bytes).
     Recognizer,
-    /// The batch pipeline shed or strict-limited the document before (or
-    /// while) admitting it to the worker pool (queue depth over the
-    /// load-shedding watermark; see `rbd-pipeline`).
-    Pipeline,
 }
 
 impl fmt::Display for DegradationStage {
@@ -138,7 +134,6 @@ impl fmt::Display for DegradationStage {
             DegradationStage::Candidates => f.write_str("candidate selection"),
             DegradationStage::Heuristic(kind) => write!(f, "heuristic {kind:?}"),
             DegradationStage::Recognizer => f.write_str("recognizer"),
-            DegradationStage::Pipeline => f.write_str("batch pipeline"),
         }
     }
 }

@@ -11,7 +11,7 @@ use rbd_heuristics::{
 use rbd_json::{Json, ToJson};
 use rbd_ontology::domains;
 use rbd_pattern::PatternError;
-use rbd_pipeline::{JobResult, Pool, PoolConfig, TrySubmitError};
+use rbd_pipeline::run_ordered;
 use rbd_tagtree::TagTreeBuilder;
 use std::sync::Arc;
 
@@ -142,74 +142,28 @@ pub fn evaluate_corpus_parallel(
         return docs.iter().map(|d| evaluate_document(runner, d)).collect();
     }
     let worker_runner = Arc::clone(runner);
-    let sink: Arc<dyn rbd_trace::TraceSink> = Arc::new(rbd_trace::NullSink);
-    let pool = match Pool::new(
-        PoolConfig::with_workers(jobs),
-        move |(index, doc): (usize, GeneratedDoc), _| {
-            (index, evaluate_document(&worker_runner, &doc))
-        },
-        sink,
-    ) {
-        Ok(pool) => pool,
-        // Zero workers is unreachable (jobs >= 2 here); a failed spawn
-        // degrades to the serial sweep rather than losing the experiment.
-        Err(_) => return docs.iter().map(|d| evaluate_document(runner, d)).collect(),
-    };
-
-    let total = docs.len();
-    let mut slots: Vec<Option<DocEvaluation>> = docs.iter().map(|_| None).collect();
-    let mut received = 0usize;
-    let store = |result: JobResult<(usize, DocEvaluation)>,
-                 slots: &mut Vec<Option<DocEvaluation>>| {
-        if let Ok((index, eval)) = result.output {
-            if let Some(slot) = slots.get_mut(index) {
-                *slot = Some(eval);
-            }
-        }
-    };
-
-    for (index, doc) in docs.iter().enumerate() {
-        let mut payload = (index, doc.clone());
-        loop {
-            match pool.try_submit(payload) {
-                Ok(_) => break,
-                Err(TrySubmitError::QueueFull(p)) => {
-                    payload = p;
-                    // Drain one completion to guarantee progress, then retry.
-                    if let Some(result) = pool.recv_result() {
-                        store(result, &mut slots);
-                        received += 1;
-                    }
-                }
-                // No shed policy is configured and the pool cannot close
-                // under us (we own it); treat both as "evaluate inline".
-                Err(TrySubmitError::Shed { .. } | TrySubmitError::Closed(_)) => {
-                    received += 1; // no completion will arrive for this doc
-                    break;
-                }
-            }
-        }
+    let run = run_ordered(
+        jobs,
+        docs.iter().cloned(),
+        move |doc: GeneratedDoc| evaluate_document(&worker_runner, &doc),
+        Arc::new(rbd_trace::NullSink),
+    );
+    match run {
+        // A panicked job is re-evaluated serially: the experiment result
+        // never depends on pipeline health.
+        Ok(run) => run
+            .results
+            .into_iter()
+            .zip(docs)
+            .map(|(done, doc)| {
+                done.output
+                    .unwrap_or_else(|_| evaluate_document(runner, doc))
+            })
+            .collect(),
+        // A failed spawn degrades to the serial sweep rather than losing
+        // the experiment.
+        Err(_) => docs.iter().map(|d| evaluate_document(runner, d)).collect(),
     }
-    while received < total {
-        match pool.recv_result() {
-            Some(result) => {
-                store(result, &mut slots);
-                received += 1;
-            }
-            None => break,
-        }
-    }
-    for result in pool.shutdown().unclaimed {
-        store(result, &mut slots);
-    }
-
-    // Any hole left (a panicked worker, an inline fallback above) is filled
-    // serially: the experiment result never depends on pipeline health.
-    slots
-        .into_iter()
-        .zip(docs)
-        .map(|(slot, doc)| slot.unwrap_or_else(|| evaluate_document(runner, doc)))
-        .collect()
 }
 
 /// For single-candidate documents: unanimous rank-1 rankings so compound

@@ -40,9 +40,6 @@ pub enum LimitKind {
     TextBytes,
     /// Wall-clock budget for the whole discovery pass.
     WallClock,
-    /// Depth of the batch pipeline's submission queue (the load-shedding
-    /// watermark of `rbd-pipeline`).
-    QueueDepth,
 }
 
 impl LimitKind {
@@ -56,7 +53,6 @@ impl LimitKind {
             LimitKind::CandidateTags => "candidate-tags",
             LimitKind::TextBytes => "text-bytes",
             LimitKind::WallClock => "wall-clock",
-            LimitKind::QueueDepth => "queue-depth",
         }
     }
 
@@ -69,7 +65,6 @@ impl LimitKind {
             LimitKind::NestingDepth => "levels",
             LimitKind::CandidateTags => "tags",
             LimitKind::WallClock => "ms",
-            LimitKind::QueueDepth => "jobs",
         }
     }
 }

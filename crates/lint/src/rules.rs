@@ -702,7 +702,8 @@ fn check_observability(path: &Path, a: &Analysis, m: &Model<'_>, findings: &mut 
 /// every worker, so shutdown, panic isolation, and metrics aggregation have
 /// exactly one implementation. Unbounded `mpsc::channel` constructs are
 /// denied *everywhere*, the pipeline crate included: its whole design is
-/// bounded queues (`mpsc::sync_channel` and the in-tree `Bounded` pass).
+/// bounded queues (`mpsc::sync_channel` and the pipeline's own `Bounded`
+/// pass).
 ///
 /// The network tier (any path with a `serve` component) carries one more
 /// obligation: a function that accepts a connection (`.accept(`) must also
@@ -745,7 +746,7 @@ fn check_concurrency(path: &Path, a: &Analysis, m: &Model<'_>, findings: &mut Ve
                 Rule::Concurrency,
                 Severity::Deny,
                 "unbounded `mpsc::channel` can grow without limit under load; use a \
-                 bounded queue (`rbd_pipeline::Bounded` or `mpsc::sync_channel`)"
+                 bounded queue (`mpsc::sync_channel`) or the rbd-pipeline worker pool"
                     .to_owned(),
             );
         }

@@ -1,59 +1,32 @@
 //! Batch extraction: a corpus of documents through one pool, out in
 //! deterministic order.
 //!
-//! [`run_batch`] owns the whole lifecycle: it builds a [`Pool`] whose
-//! runner is one governed extraction per document (the extractor's
-//! [`Limits`] deadline still applies to each document individually),
-//! pumps documents in with `try_submit`, absorbs backpressure by draining
-//! one completion whenever the queue is full, and finally sorts the
-//! results by document id — so a 4-worker run and a serial sweep produce
+//! [`run_batch`] runs one governed extraction per document (the
+//! extractor's [`Limits`](rbd_core::Limits) deadline still applies to each
+//! document individually) through [`run_ordered`], then sorts the results
+//! by document id — so a 4-worker run and a serial sweep produce
 //! byte-identical output for the same inputs.
-//!
-//! The submission pump is single-threaded on purpose. Because the
-//! submitter alternates between a non-blocking submit and a blocking
-//! completion receive, it can never hold both channels full at once,
-//! which is the classic bounded-queue-pair deadlock; the alternation is
-//! the proof that every admitted document's completion is eventually
-//! received.
 
-use crate::pool::{Admission, JobResult, Pool, PoolConfig, PoolError, ShedPolicy, TrySubmitError};
-use rbd_core::limits::{DegradationEvent, DegradationStage, LimitExceeded, Limits};
+use crate::pool::{run_ordered, PoolError};
 use rbd_core::{DiscoveryError, Extraction, RecordExtractor};
-use rbd_limits::LimitKind;
 use rbd_trace::{RegistrySnapshot, TraceSink};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Batch-run sizing: worker count, queue depth, shedding.
+/// Batch-run sizing. The queue holds `2 × jobs` documents.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
     /// Worker threads (the CLI's `--jobs`). Zero is rejected by
-    /// [`run_batch`] just as [`Pool::new`] rejects it.
+    /// [`run_batch`] just as [`Pool::new`](crate::Pool::new) rejects it.
     pub jobs: usize,
-    /// Injector capacity; defaults to `2 × jobs`.
-    pub queue_capacity: usize,
-    /// Optional load-shedding policy for the run.
-    pub shed: Option<ShedPolicy>,
 }
 
 impl BatchConfig {
-    /// A config with `jobs` workers, a `2 × jobs` queue, and no shedding.
+    /// A config with `jobs` workers.
     #[must_use]
     pub fn with_jobs(jobs: usize) -> Self {
-        BatchConfig {
-            jobs,
-            queue_capacity: jobs.saturating_mul(2).max(1),
-            shed: None,
-        }
-    }
-
-    /// Installs a load-shedding policy.
-    #[must_use]
-    pub fn with_shed(mut self, shed: ShedPolicy) -> Self {
-        self.shed = Some(shed);
-        self
+        BatchConfig { jobs }
     }
 }
 
@@ -62,13 +35,6 @@ impl BatchConfig {
 pub enum BatchError {
     /// The extractor ran and failed (the same errors a serial run yields).
     Discovery(DiscoveryError),
-    /// The shedding policy dropped the document before it ran.
-    Shed {
-        /// The policy's saturation watermark.
-        watermark: usize,
-        /// Injector depth observed at submission.
-        depth: usize,
-    },
     /// The extraction panicked; the pool caught it and the batch carried
     /// on.
     Panicked(String),
@@ -78,10 +44,6 @@ impl fmt::Display for BatchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BatchError::Discovery(e) => write!(f, "{e}"),
-            BatchError::Shed { watermark, depth } => write!(
-                f,
-                "shed by the batch pipeline: queue depth {depth} over watermark {watermark}"
-            ),
             BatchError::Panicked(msg) => write!(f, "extraction panicked: {msg}"),
         }
     }
@@ -94,11 +56,11 @@ impl std::error::Error for BatchError {}
 pub struct BatchResult {
     /// The caller-assigned document id (the sort key of the batch).
     pub doc_id: u64,
-    /// Which worker ran the document; `None` when it was shed unrun.
-    pub worker: Option<usize>,
-    /// Time the document waited in the queue (zero when shed).
+    /// Which worker ran the document.
+    pub worker: usize,
+    /// Time between the document's submission and a worker picking it up.
     pub queue_wait: Duration,
-    /// Time the extraction took (zero when shed).
+    /// Time the extraction took.
     pub run_time: Duration,
     /// The extraction, or why there is none.
     pub outcome: Result<Extraction, BatchError>,
@@ -111,13 +73,8 @@ pub struct BatchReport {
     /// One entry per input document, ascending `doc_id`.
     pub results: Vec<BatchResult>,
     /// Merged per-worker registries: `pipeline_jobs_run`,
-    /// `pipeline_steals`, `pipeline_queue_wait` / `pipeline_run_time`
-    /// histograms, and so on.
+    /// `pipeline_queue_wait` / `pipeline_run_time` histograms, and so on.
     pub metrics: RegistrySnapshot,
-    /// Documents dropped by the shedding policy.
-    pub shed: usize,
-    /// Documents run under strict limits by the shedding policy.
-    pub strict: usize,
 }
 
 impl BatchReport {
@@ -131,29 +88,21 @@ impl BatchReport {
 /// Runs every document through a fresh pool of `config.jobs` workers and
 /// returns the results sorted by `doc_id`.
 ///
-/// `extractor` is cloned per pool (its configuration, ontology rules, and
-/// limits travel with it); a second clone reconfigured with
-/// [`Limits::strict`] serves documents admitted under
-/// [`Admission::Strict`], and each such document carries a
-/// [`DegradationStage::Pipeline`] event in its extraction report.
-/// `sink` observes the run: submission/shed counters and shed degradation
-/// events from the pool, and the full per-document audit trail whenever
-/// the sink is enabled.
+/// `extractor` is cloned into the pool (its configuration, ontology rules,
+/// and limits travel with it). `sink` observes the run: submission and
+/// panic counters from the pool, and the full per-document audit trail
+/// whenever the sink is enabled.
 pub fn run_batch(
     extractor: &RecordExtractor,
     docs: Vec<(u64, String)>,
     config: &BatchConfig,
     sink: &Arc<dyn TraceSink>,
 ) -> Result<BatchReport, PoolError> {
-    let total = docs.len();
-    let strict_extractor =
-        RecordExtractor::new(extractor.config().clone().with_limits(Limits::strict()))
-            .map_err(|e| PoolError::Spawn(format!("strict-limits profile failed to build: {e}")))?;
-
+    let doc_ids: Vec<u64> = docs.iter().map(|(doc_id, _)| *doc_id).collect();
     let runner = {
-        let normal = extractor.clone();
+        let extractor = extractor.clone();
         let sink = Arc::clone(sink);
-        move |(doc_id, html): (u64, String), admission: Admission| {
+        move |html: String| {
             // Each document is one trace: a fresh id plus a root span,
             // stamped onto every stage span the extraction records, so a
             // `--trace` dump separates into per-document span trees. The
@@ -176,143 +125,34 @@ pub fn run_batch(
                 Some(s) => s,
                 None => sink.as_ref(),
             };
-            let result = match admission {
-                Admission::Normal => normal.extract_records_traced(&html, doc_sink),
-                Admission::Strict { watermark, depth } => strict_extractor
-                    .extract_records_traced(&html, doc_sink)
-                    .map(|mut extraction| {
-                        // The pool already put this shed on the sink's
-                        // audit trail at admission time; the per-document
-                        // report gets its copy here so a strict-limited
-                        // result is self-describing.
-                        let event = DegradationEvent {
-                            stage: DegradationStage::Pipeline,
-                            cause: LimitExceeded {
-                                limit: LimitKind::QueueDepth,
-                                cap: watermark,
-                                observed: depth,
-                            },
-                        };
-                        extraction.degradation.push(event);
-                        extraction.outcome.degradation.push(event);
-                        extraction
-                    }),
-            };
+            let result = extractor.extract_records_traced(&html, doc_sink);
             if let Some(root) = root {
                 root.finish(sink.as_ref());
             }
-            (doc_id, result)
+            result
         }
     };
-
-    let pool_config = PoolConfig {
-        queue_capacity: config.queue_capacity,
-        shed: config.shed,
-        ..PoolConfig::with_workers(config.jobs)
-    };
-    let pool = Pool::new(pool_config, runner, Arc::clone(sink))?;
-
-    let mut doc_of_job: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut results: Vec<BatchResult> = Vec::with_capacity(total);
-    let mut shed = 0usize;
-    let mut strict = 0usize;
-
-    for mut doc in docs {
-        loop {
-            let doc_id = doc.0;
-            match pool.try_submit(doc) {
-                Ok(job_id) => {
-                    doc_of_job.insert(job_id, doc_id);
-                    break;
-                }
-                Err(TrySubmitError::QueueFull(returned)) => {
-                    // Backpressure: free a queue slot by consuming one
-                    // completion, then retry the same document.
-                    doc = returned;
-                    if let Some(done) = pool.recv_result() {
-                        results.push(convert(&doc_of_job, done, &mut strict));
-                    }
-                }
-                Err(TrySubmitError::Shed {
-                    job,
-                    watermark,
-                    depth,
-                }) => {
-                    shed += 1;
-                    results.push(BatchResult {
-                        doc_id: job.0,
-                        worker: None,
-                        queue_wait: Duration::ZERO,
-                        run_time: Duration::ZERO,
-                        outcome: Err(BatchError::Shed { watermark, depth }),
-                    });
-                    break;
-                }
-                Err(TrySubmitError::Closed(job)) => {
-                    // Unreachable while we own the pool, but never drop a
-                    // document silently.
-                    results.push(BatchResult {
-                        doc_id: job.0,
-                        worker: None,
-                        queue_wait: Duration::ZERO,
-                        run_time: Duration::ZERO,
-                        outcome: Err(BatchError::Panicked(
-                            "pool closed during submission".to_owned(),
-                        )),
-                    });
-                    break;
-                }
-            }
-        }
-    }
-
-    // Drain: one result per input document, then a clean shutdown.
-    while results.len() < total {
-        match pool.recv_result() {
-            Some(done) => results.push(convert(&doc_of_job, done, &mut strict)),
-            None => break,
-        }
-    }
-    let shutdown = pool.shutdown();
-    for done in shutdown.unclaimed {
-        results.push(convert(&doc_of_job, done, &mut strict));
-    }
-
+    let htmls = docs.into_iter().map(|(_, html)| html);
+    let run = run_ordered(config.jobs, htmls, runner, Arc::clone(sink))?;
+    let mut results: Vec<BatchResult> = doc_ids
+        .into_iter()
+        .zip(run.results)
+        .map(|(doc_id, done)| BatchResult {
+            doc_id,
+            worker: done.worker,
+            queue_wait: done.queue_wait,
+            run_time: done.run_time,
+            outcome: done
+                .output
+                .map_err(|panic| BatchError::Panicked(panic.message))
+                .and_then(|extracted| extracted.map_err(BatchError::Discovery)),
+        })
+        .collect();
     results.sort_by_key(|r| r.doc_id);
     Ok(BatchReport {
         results,
-        metrics: shutdown.metrics,
-        shed,
-        strict,
+        metrics: run.metrics,
     })
-}
-
-/// Maps a pool completion back to its document.
-fn convert(
-    doc_of_job: &BTreeMap<u64, u64>,
-    done: JobResult<(u64, Result<Extraction, DiscoveryError>)>,
-    strict: &mut usize,
-) -> BatchResult {
-    if matches!(done.admission, Admission::Strict { .. }) {
-        *strict += 1;
-    }
-    let (doc_id, outcome) = match done.output {
-        Ok((doc_id, Ok(extraction))) => (doc_id, Ok(extraction)),
-        Ok((doc_id, Err(e))) => (doc_id, Err(BatchError::Discovery(e))),
-        Err(panic) => (
-            // The payload died with the panic; the submission-time map
-            // still knows which document this job was.
-            doc_of_job.get(&done.job_id).copied().unwrap_or(u64::MAX),
-            Err(BatchError::Panicked(panic.message)),
-        ),
-    };
-    BatchResult {
-        doc_id,
-        worker: Some(done.worker),
-        queue_wait: done.queue_wait,
-        run_time: done.run_time,
-        outcome,
-    }
 }
 
 #[cfg(test)]
@@ -361,15 +201,17 @@ mod tests {
     #[test]
     fn batch_matches_serial_sweep() {
         let ex = RecordExtractor::default();
-        let docs = corpus(40);
-        let serial: Vec<(u64, Result<Extraction, DiscoveryError>)> = docs
+        // Submitted in reverse `doc_id` order, so the sort contract is
+        // checked on unsorted input.
+        let docs: Vec<(u64, String)> = corpus(40).into_iter().rev().collect();
+        let mut serial: Vec<(u64, Result<Extraction, DiscoveryError>)> = docs
             .iter()
             .map(|(id, html)| (*id, ex.extract_records(html)))
             .collect();
+        serial.reverse();
         let report =
             run_batch(&ex, docs, &BatchConfig::with_jobs(4), &sink()).expect("valid config");
         assert_eq!(report.results.len(), serial.len());
-        assert_eq!(report.shed, 0);
         for (got, (want_id, want)) in report.results.iter().zip(&serial) {
             assert_eq!(got.doc_id, *want_id, "sorted by doc_id");
             match (&got.outcome, want) {

@@ -77,11 +77,6 @@ pub struct CachedBatchReport {
     pub results: Vec<CachedResult>,
     /// Pipeline metrics for the miss run, plus the `store_` counters.
     pub metrics: RegistrySnapshot,
-    /// Documents dropped by the shedding policy (misses only; hits are
-    /// never shed — they skip the pool entirely).
-    pub shed: usize,
-    /// Documents run under strict limits by the shedding policy.
-    pub strict: usize,
     /// Documents served from the store.
     pub hits: u64,
     /// Documents that ran through the pipeline.
@@ -183,12 +178,10 @@ pub fn run_batch_stored(
         (Some(report), appended, write_error)
     };
 
-    let (shed, strict, metrics) = match miss_report {
+    let mut metrics = match miss_report {
         Some(BatchReport {
             results: miss_results,
             metrics,
-            shed,
-            strict,
         }) => {
             for r in miss_results {
                 let (hash, source, store_error) =
@@ -206,19 +199,14 @@ pub fn run_batch_stored(
                     store_error,
                 });
             }
-            (shed, strict, metrics)
+            metrics
         }
-        None => (
-            0,
-            0,
-            RegistrySnapshot {
-                counters: BTreeMap::new(),
-                histograms: BTreeMap::new(),
-            },
-        ),
+        None => RegistrySnapshot {
+            counters: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+        },
     };
 
-    let mut metrics = metrics;
     metrics.counters.insert("store_cache_hits", hits);
     metrics.counters.insert("store_cache_misses", miss_count);
     metrics.counters.insert("store_read_errors", read_errors);
@@ -231,8 +219,6 @@ pub fn run_batch_stored(
     Ok(CachedBatchReport {
         results,
         metrics,
-        shed,
-        strict,
         hits,
         misses: miss_count,
         write_error,

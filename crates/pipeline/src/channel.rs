@@ -22,7 +22,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 /// The queue and the closed flag, guarded together so "closed" and "empty"
 /// are always observed consistently.
@@ -53,17 +52,6 @@ pub enum TrySendError<T> {
     Closed(T),
 }
 
-/// Outcome of a bounded-wait receive.
-#[derive(Debug, PartialEq, Eq)]
-pub enum RecvTimeout<T> {
-    /// An item arrived (or was already queued).
-    Item(T),
-    /// The wait expired with the queue still empty but the channel open.
-    TimedOut,
-    /// The channel is closed *and* drained: no item will ever arrive.
-    Disconnected,
-}
-
 impl<T> Bounded<T> {
     /// Creates a channel holding at most `capacity` items. A zero capacity
     /// is rounded up to one: a channel that can never accept an item is a
@@ -82,30 +70,11 @@ impl<T> Bounded<T> {
         }
     }
 
-    /// The configured capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Items currently queued. A snapshot — stale the moment it returns —
-    /// but exact at the instant it was taken, which is all the shedding
-    /// watermark needs.
+    /// but exact at the instant it was taken.
     #[must_use]
     pub fn len(&self) -> usize {
         self.lock().queue.len()
-    }
-
-    /// `true` when no items are queued (same snapshot caveat as `len`).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.lock().queue.is_empty()
-    }
-
-    /// `true` once `close` has been called.
-    #[must_use]
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
     }
 
     /// Blocks until the value is queued, returning it back on a closed
@@ -166,8 +135,8 @@ impl<T> Bounded<T> {
     }
 
     /// Takes an item only if one is queued right now. `None` is ambiguous
-    /// between "empty" and "closed" by design — pool workers that need the
-    /// distinction use [`Bounded::recv_timeout`].
+    /// between "empty" and "closed" by design; [`Bounded::recv`] tells
+    /// them apart.
     pub fn try_recv(&self) -> Option<T> {
         let mut state = self.lock();
         let value = state.queue.pop_front();
@@ -176,59 +145,6 @@ impl<T> Bounded<T> {
             self.not_full.notify_one();
         }
         value
-    }
-
-    /// Takes up to `max` items in one lock acquisition — the batch-refill
-    /// path workers use to amortize lock traffic when moving injector work
-    /// into their local deques.
-    pub fn try_recv_batch(&self, max: usize) -> Vec<T> {
-        if max == 0 {
-            return Vec::new();
-        }
-        let mut state = self.lock();
-        let take = state.queue.len().min(max);
-        let grabbed: Vec<T> = state.queue.drain(..take).collect();
-        drop(state);
-        if !grabbed.is_empty() {
-            // Potentially freed several slots: wake every blocked producer.
-            self.not_full.notify_all();
-        }
-        grabbed
-    }
-
-    /// Waits at most `timeout` for an item. Idle pool workers use this as
-    /// their poll tick so they periodically revisit their siblings' deques
-    /// for stealable work instead of parking forever on the injector.
-    pub fn recv_timeout(&self, timeout: Duration) -> RecvTimeout<T> {
-        let mut state = self.lock();
-        loop {
-            if let Some(value) = state.queue.pop_front() {
-                drop(state);
-                self.not_full.notify_one();
-                return RecvTimeout::Item(value);
-            }
-            if state.closed {
-                return RecvTimeout::Disconnected;
-            }
-            let (next, wait) = self
-                .not_empty
-                .wait_timeout(state, timeout)
-                .unwrap_or_else(PoisonError::into_inner);
-            state = next;
-            if wait.timed_out() {
-                // One last look under the lock, then report the timeout.
-                if let Some(value) = state.queue.pop_front() {
-                    drop(state);
-                    self.not_full.notify_one();
-                    return RecvTimeout::Item(value);
-                }
-                return if state.closed {
-                    RecvTimeout::Disconnected
-                } else {
-                    RecvTimeout::TimedOut
-                };
-            }
-        }
     }
 
     /// Closes the channel: future sends fail, queued items remain
@@ -268,7 +184,7 @@ mod tests {
             (ch.recv(), ch.recv(), ch.recv(), ch.recv()),
             (Some(0), Some(1), Some(2), Some(3))
         );
-        assert!(ch.is_empty());
+        assert_eq!(ch.len(), 0);
     }
 
     #[test]
@@ -286,8 +202,8 @@ mod tests {
     #[test]
     fn zero_capacity_rounds_up_to_one() {
         let ch = Bounded::new(0);
-        assert_eq!(ch.capacity(), 1);
         ch.send(7).expect("capacity one, not zero");
+        assert_eq!(ch.try_send(8), Err(TrySendError::Full(8)), "one, not more");
         assert_eq!(ch.recv(), Some(7));
     }
 
@@ -297,42 +213,10 @@ mod tests {
         ch.send("a").expect("open");
         ch.send("b").expect("open");
         ch.close();
-        assert!(ch.is_closed());
         assert_eq!(ch.send("c"), Err("c"));
         assert_eq!(ch.recv(), Some("a"));
         assert_eq!(ch.recv(), Some("b"));
         assert_eq!(ch.recv(), None, "closed and drained");
-    }
-
-    #[test]
-    fn recv_timeout_distinguishes_empty_from_closed() {
-        let ch: Bounded<u32> = Bounded::new(1);
-        assert_eq!(
-            ch.recv_timeout(Duration::from_millis(1)),
-            RecvTimeout::TimedOut
-        );
-        ch.send(9).expect("open");
-        assert_eq!(
-            ch.recv_timeout(Duration::from_millis(1)),
-            RecvTimeout::Item(9)
-        );
-        ch.close();
-        assert_eq!(
-            ch.recv_timeout(Duration::from_millis(1)),
-            RecvTimeout::Disconnected
-        );
-    }
-
-    #[test]
-    fn try_recv_batch_amortizes_and_wakes_producers() {
-        let ch = Bounded::new(4);
-        for i in 0..4 {
-            ch.send(i).expect("open");
-        }
-        assert_eq!(ch.try_recv_batch(3), vec![0, 1, 2]);
-        assert_eq!(ch.try_recv_batch(3), vec![3]);
-        assert_eq!(ch.try_recv_batch(3), Vec::<i32>::new());
-        assert_eq!(ch.try_recv_batch(0), Vec::<i32>::new());
     }
 
     #[test]

@@ -8,22 +8,22 @@
 //!
 //! Three layers, bottom up:
 //!
-//! * [`channel::Bounded`] — a bounded MPMC channel from one `Mutex` and
-//!   two `Condvar`s. Capacity is a hard, visible limit: a full channel
-//!   blocks (or refuses) the producer, it never grows. The `concurrency`
-//!   rule in `rbd-lint` denies unbounded channel constructs everywhere
-//!   for the same reason.
-//! * [`pool::Pool`] — a fixed-size worker pool fed by one bounded
-//!   injector, with per-worker LIFO deques plus work stealing (oldest job
-//!   first) for tail latency, panic isolation via `catch_unwind`, and an
-//!   optional [`pool::ShedPolicy`] that drops or strict-limits new work
-//!   once the queue has stayed saturated past a watermark — every shed
-//!   counted and reported through `rbd-trace`, never silent. Workers
-//!   record metrics into private registries merged at shutdown
-//!   (`Registry::merge`), so the hot path shares no metric lock.
+//! * `channel::Bounded` (crate-private) — a bounded MPMC channel from one
+//!   `Mutex` and two `Condvar`s. Capacity is a hard, visible limit: a full
+//!   channel blocks (or refuses) the producer, it never grows. The
+//!   `concurrency` rule in `rbd-lint` denies unbounded channel constructs
+//!   everywhere for the same reason.
+//! * [`pool::Pool`] — a fixed-size worker pool: `N` workers block on one
+//!   bounded FIFO injector, a full queue is the only refusal
+//!   ([`TrySubmitError::QueueFull`]), and panics are isolated per job via
+//!   `catch_unwind`. Workers record metrics into private registries
+//!   merged at shutdown (`Registry::merge`), so the hot path shares no
+//!   metric lock. [`run_ordered`] is the one submit/drain loop: it runs a
+//!   list of inputs through a fresh pool and returns the completions in
+//!   input order.
 //! * [`batch::run_batch`] — one call that runs a corpus of `(doc_id,
-//!   html)` documents through a pool of `N` workers and returns per-
-//!   document results **sorted by `doc_id`**: a concurrent batch is
+//!   html)` documents through [`run_ordered`] on `N` workers and returns
+//!   per-document results **sorted by `doc_id`**: a concurrent batch is
 //!   byte-identical to a serial sweep over the same inputs (given
 //!   deterministic per-document limits), which the threaded arm of the
 //!   chaos suite asserts end to end. [`cached::run_batch_stored`] layers
@@ -59,15 +59,12 @@
 
 pub mod batch;
 pub mod cached;
-pub mod channel;
-pub mod deque;
+mod channel;
 pub mod pool;
 
 pub use batch::{run_batch, BatchConfig, BatchError, BatchReport, BatchResult};
 pub use cached::{run_batch_stored, CacheStatus, CachedBatchReport, CachedResult};
-pub use channel::{Bounded, RecvTimeout, TrySendError};
-pub use deque::WorkerDeque;
 pub use pool::{
-    Admission, JobPanic, JobResult, Pool, PoolConfig, PoolError, ShedMode, ShedPolicy,
-    ShutdownReport, SubmitError, TrySubmitError,
+    run_ordered, JobPanic, JobResult, OrderedRun, Pool, PoolConfig, PoolError, ShutdownReport,
+    TrySubmitError,
 };

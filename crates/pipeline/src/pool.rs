@@ -1,85 +1,35 @@
-//! The fixed-size work-stealing worker pool.
+//! The fixed-size worker pool.
 //!
 //! Topology: one bounded **injector** channel feeds `N` worker threads,
-//! each owning a [`WorkerDeque`]. A worker drains its own deque LIFO,
-//! refills it in batches from the injector, and — only when both are
-//! empty — steals the *oldest* job from a sibling. Completed jobs leave
-//! through one bounded **completion** channel as [`JobResult`]s carrying
-//! the job id, the worker that ran it, and its queue-wait / run-time
-//! split, so the submitter can re-establish a deterministic order by
-//! sorting on the id it chose.
+//! each blocking on it and taking the oldest job first. Completed jobs
+//! leave through one bounded **completion** channel as [`JobResult`]s
+//! carrying the job id, the worker that ran it, and its queue-wait /
+//! run-time split. [`run_ordered`] is the one submitter loop over that
+//! channel pair: it hands back one completion per input, in input order.
 //!
-//! Three policies are explicit rather than emergent:
+//! Jobs are whole documents — milliseconds of extraction each — so one
+//! shared queue whose mutex is touched once per job is nowhere near the
+//! critical path, and documents carry no state from one to the next that
+//! per-worker queues could keep warm.
 //!
-//! * **Backpressure** — [`Pool::submit`] blocks on a full injector;
-//!   [`Pool::try_submit`] returns [`TrySubmitError::QueueFull`] instead.
-//!   Nothing in the pool ever grows without bound.
-//! * **Load shedding** — an optional [`ShedPolicy`] watches the injector
-//!   depth at submission time. Once the queue has stayed at or above the
-//!   watermark for the configured sustain window, new work is either
-//!   dropped ([`ShedMode::Drop`]) or admitted flagged for strict limits
-//!   ([`ShedMode::Strict`]); either way the shed is reported to the trace
-//!   sink as a degradation event and counted, never silent.
+//! Two policies are explicit rather than emergent:
+//!
+//! * **Backpressure** — [`Pool::try_submit`] returns
+//!   [`TrySubmitError::QueueFull`] on a full injector. Nothing in the pool
+//!   ever grows without bound, and a full queue is the only refusal.
 //! * **Panic isolation** — the runner executes under
 //!   [`std::panic::catch_unwind`]; a panicking job becomes a
 //!   [`JobPanic`] in its own completion record and the worker carries on.
 //!   The pool cannot be poisoned by its payloads.
 
-use crate::channel::{Bounded, RecvTimeout, TrySendError};
-use crate::deque::WorkerDeque;
-use rbd_core::limits::DegradationStage;
-use rbd_limits::LimitKind;
-use rbd_trace::{Registry, RegistrySnapshot, TraceEvent, TraceSink};
+use crate::channel::{Bounded, TrySendError};
+use rbd_trace::{Registry, RegistrySnapshot, TraceSink};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// What the shedding policy does with work that arrives while the queue is
-/// saturated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShedMode {
-    /// Refuse the job: submission returns a `Shed` error and the caller
-    /// decides (retry later, fail the document, spill to disk…).
-    Drop,
-    /// Admit the job but flag it [`Admission::Strict`], telling the runner
-    /// to execute under its tightest resource limits so the backlog drains
-    /// faster at reduced fidelity instead of growing.
-    Strict,
-}
-
-/// When and how the pool sheds load. The policy fires only when saturation
-/// is *sustained*: a momentary burst that fills the queue and drains again
-/// within `sustained` is ordinary backpressure, not overload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShedPolicy {
-    /// Queue depth (in jobs) at or above which the queue counts as
-    /// saturated.
-    pub watermark: usize,
-    /// How long saturation must persist before shedding starts.
-    pub sustained: Duration,
-    /// What to do with new work once shedding starts.
-    pub mode: ShedMode,
-}
-
-/// How a job was admitted — passed to the runner so it can pick its
-/// resource profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// Admitted normally; run at the configured fidelity.
-    Normal,
-    /// Admitted during sustained saturation under [`ShedMode::Strict`]:
-    /// the runner should use its strictest limits. Carries the watermark
-    /// and the observed queue depth for the degradation report.
-    Strict {
-        /// The policy's saturation watermark.
-        watermark: usize,
-        /// Injector depth observed at submission.
-        depth: usize,
-    },
-}
 
 /// A job the pool caught panicking. The panic payload is flattened to a
 /// message; the job's slot in the completion stream is otherwise normal —
@@ -102,13 +52,11 @@ impl std::error::Error for JobPanic {}
 /// One completed job, as delivered on the completion channel.
 #[derive(Debug, Clone)]
 pub struct JobResult<R> {
-    /// The id [`Pool::submit`] returned for this job. Ids are assigned in
-    /// submission order, so sorting results by id restores it.
+    /// The id [`Pool::try_submit`] returned for this job. Ids are assigned
+    /// in submission order, so sorting results by id restores it.
     pub job_id: u64,
     /// Index of the worker that ran the job (`0..workers`).
     pub worker: usize,
-    /// How the job was admitted (normal or strict-shed).
-    pub admission: Admission,
     /// Time between submission and the worker picking the job up.
     pub queue_wait: Duration,
     /// Time the runner spent on the job.
@@ -123,11 +71,10 @@ pub struct JobResult<R> {
 struct Job<T> {
     id: u64,
     payload: T,
-    admission: Admission,
     submitted: Instant,
 }
 
-/// Pool construction failures.
+/// Pool failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PoolError {
     /// `workers == 0`: a pool with no workers can accept jobs but never
@@ -136,6 +83,10 @@ pub enum PoolError {
     ZeroWorkers,
     /// The OS refused to spawn a worker thread.
     Spawn(String),
+    /// [`run_ordered`] ended with this many inputs never completed: a
+    /// worker thread died outside a job (job panics are caught and
+    /// reported per job, so this should never happen).
+    LostJobs(usize),
 }
 
 impl fmt::Display for PoolError {
@@ -143,29 +94,14 @@ impl fmt::Display for PoolError {
         match self {
             PoolError::ZeroWorkers => f.write_str("pool requires at least one worker"),
             PoolError::Spawn(e) => write!(f, "failed to spawn worker thread: {e}"),
+            PoolError::LostJobs(n) => write!(f, "{n} job(s) never completed"),
         }
     }
 }
 
 impl std::error::Error for PoolError {}
 
-/// Why a blocking submission failed. The payload always comes back.
-#[derive(Debug, PartialEq, Eq)]
-pub enum SubmitError<T> {
-    /// The pool has been shut down.
-    Closed(T),
-    /// The shedding policy ([`ShedMode::Drop`]) refused the job.
-    Shed {
-        /// The refused payload, returned to the caller.
-        job: T,
-        /// The policy's saturation watermark.
-        watermark: usize,
-        /// Injector depth observed at submission.
-        depth: usize,
-    },
-}
-
-/// Why a non-blocking submission failed. The payload always comes back.
+/// Why a submission failed. The payload always comes back.
 #[derive(Debug, PartialEq, Eq)]
 pub enum TrySubmitError<T> {
     /// The injector is at capacity — backpressure; try again after
@@ -173,36 +109,18 @@ pub enum TrySubmitError<T> {
     QueueFull(T),
     /// The pool has been shut down.
     Closed(T),
-    /// The shedding policy ([`ShedMode::Drop`]) refused the job.
-    Shed {
-        /// The refused payload, returned to the caller.
-        job: T,
-        /// The policy's saturation watermark.
-        watermark: usize,
-        /// Injector depth observed at submission.
-        depth: usize,
-    },
 }
 
-/// Pool sizing and policy.
+/// Pool sizing.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolConfig {
     /// Number of worker threads. Must be at least one.
     pub workers: usize,
-    /// Injector capacity in jobs; zero is rounded up to one.
+    /// Injector capacity in jobs; zero is rounded up to one. The
+    /// completion channel holds `queue_capacity + workers`, enough for
+    /// every queued and in-flight job to complete without the submitter
+    /// draining.
     pub queue_capacity: usize,
-    /// Completion-channel capacity; `None` sizes it to
-    /// `queue_capacity + workers`, enough for every queued and in-flight
-    /// job to complete without the submitter draining.
-    pub completion_capacity: Option<usize>,
-    /// How many jobs a worker moves from the injector to its local deque
-    /// per refill (amortizes injector lock traffic).
-    pub refill_batch: usize,
-    /// How long an idle worker waits on the injector before rescanning its
-    /// siblings' deques for stealable work.
-    pub steal_poll: Duration,
-    /// Optional load-shedding policy; `None` means backpressure only.
-    pub shed: Option<ShedPolicy>,
     /// `true` (the default) delivers a [`JobResult`] per job on the
     /// completion channel. `false` is **detached** mode for jobs that route
     /// their own results (e.g. a network handler writing its response to
@@ -213,17 +131,12 @@ pub struct PoolConfig {
 }
 
 impl PoolConfig {
-    /// A config with `workers` threads, a `2 × workers` injector, and no
-    /// shedding.
+    /// A config with `workers` threads and a `2 × workers` injector.
     #[must_use]
     pub fn with_workers(workers: usize) -> Self {
         PoolConfig {
             workers,
             queue_capacity: workers.saturating_mul(2).max(1),
-            completion_capacity: None,
-            refill_batch: 4,
-            steal_poll: Duration::from_millis(1),
-            shed: None,
             deliver_completions: true,
         }
     }
@@ -232,13 +145,6 @@ impl PoolConfig {
     #[must_use]
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
-        self
-    }
-
-    /// Installs a load-shedding policy.
-    #[must_use]
-    pub fn with_shed(mut self, shed: ShedPolicy) -> Self {
-        self.shed = Some(shed);
         self
     }
 
@@ -255,9 +161,8 @@ impl PoolConfig {
 /// Everything the worker threads share.
 struct Shared<T, R> {
     injector: Bounded<Job<T>>,
-    deques: Vec<WorkerDeque<Job<T>>>,
     completions: Bounded<JobResult<R>>,
-    runner: Box<dyn Fn(T, Admission) -> R + Send + Sync>,
+    runner: Box<dyn Fn(T) -> R + Send + Sync>,
     sink: Arc<dyn TraceSink>,
     deliver_completions: bool,
 }
@@ -266,7 +171,6 @@ impl<T, R> fmt::Debug for Shared<T, R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Shared")
             .field("queued", &self.injector.len())
-            .field("workers", &self.deques.len())
             .finish_non_exhaustive()
     }
 }
@@ -278,9 +182,9 @@ pub struct ShutdownReport<R> {
     /// completion order. Together with what was already received, every
     /// admitted job appears exactly once. Always empty in detached mode.
     pub unclaimed: Vec<JobResult<R>>,
-    /// All workers' private metric registries, merged: job counts, steals,
-    /// panics, queue-wait and run-time histograms. Workers abandoned at a
-    /// drain deadline could not contribute theirs.
+    /// All workers' private metric registries, merged: job counts, panics,
+    /// queue-wait and run-time histograms. Workers abandoned at a drain
+    /// deadline could not contribute theirs.
     pub metrics: RegistrySnapshot,
     /// Workers that died outside a job (should always be zero — job
     /// panics are caught and reported per job).
@@ -298,46 +202,28 @@ pub struct Pool<T, R> {
     shared: Arc<Shared<T, R>>,
     handles: Vec<JoinHandle<RegistrySnapshot>>,
     next_id: AtomicU64,
-    /// When the injector first hit the watermark, if it is currently at or
-    /// above it. Reset the moment a submission observes it below.
-    saturated_since: Mutex<Option<Instant>>,
-    shed: Option<ShedPolicy>,
-}
-
-/// Internal admission decision for one submission.
-enum Decision {
-    Admit(Admission),
-    Shed { watermark: usize, depth: usize },
 }
 
 impl<T: Send + 'static, R: Send + 'static> Pool<T, R> {
-    /// Spawns the workers. `runner` executes each job; it receives the
-    /// payload and the [`Admission`] the shedding policy chose. `sink`
-    /// receives submission/shed counters and shed degradation events;
-    /// per-job metrics go to private per-worker registries merged in
-    /// [`Pool::shutdown`].
+    /// Spawns the workers. `runner` executes each job. `sink` receives the
+    /// submission and panic counters; per-job metrics go to private
+    /// per-worker registries merged in [`Pool::shutdown`].
     pub fn new(
         config: PoolConfig,
-        runner: impl Fn(T, Admission) -> R + Send + Sync + 'static,
+        runner: impl Fn(T) -> R + Send + Sync + 'static,
         sink: Arc<dyn TraceSink>,
     ) -> Result<Self, PoolError> {
         let PoolConfig {
             workers,
             queue_capacity,
-            completion_capacity,
-            refill_batch,
-            steal_poll,
-            shed,
             deliver_completions,
         } = config;
         if workers == 0 {
             return Err(PoolError::ZeroWorkers);
         }
-        let completion_capacity = completion_capacity.unwrap_or(queue_capacity.max(1) + workers);
         let shared = Arc::new(Shared {
             injector: Bounded::new(queue_capacity),
-            deques: (0..workers).map(|_| WorkerDeque::new()).collect(),
-            completions: Bounded::new(completion_capacity),
+            completions: Bounded::new(queue_capacity.max(1) + workers),
             runner: Box::new(runner),
             sink,
             deliver_completions,
@@ -345,11 +231,9 @@ impl<T: Send + 'static, R: Send + 'static> Pool<T, R> {
         let mut handles = Vec::with_capacity(workers);
         for index in 0..workers {
             let worker_shared = Arc::clone(&shared);
-            let poll = steal_poll;
-            let refill = refill_batch.max(1);
             let spawned = std::thread::Builder::new()
                 .name(format!("rbd-worker-{index}"))
-                .spawn(move || worker_loop(&worker_shared, index, poll, refill));
+                .spawn(move || worker_loop(&worker_shared, index));
             match spawned {
                 Ok(handle) => handles.push(handle),
                 Err(e) => {
@@ -364,75 +248,38 @@ impl<T: Send + 'static, R: Send + 'static> Pool<T, R> {
             shared,
             handles,
             next_id: AtomicU64::new(0),
-            saturated_since: Mutex::new(None),
-            shed,
         })
     }
 
-    /// Number of worker threads.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.shared.deques.len()
-    }
-
-    /// Jobs waiting in the injector right now (excludes jobs already moved
-    /// to worker deques or running).
+    /// Jobs waiting in the injector right now (excludes running jobs).
     #[must_use]
     pub fn queue_depth(&self) -> usize {
         self.shared.injector.len()
     }
 
-    /// Submits a job, blocking while the injector is full. Returns the
-    /// job's id — ids are assigned in submission order, so sorting
-    /// completions by id reproduces it.
+    /// Submits a job only if the injector has room right now, returning
+    /// the job's id — ids are assigned in submission order, so sorting
+    /// completions by id reproduces it. [`TrySubmitError::QueueFull`] is
+    /// the backpressure signal.
     ///
     /// Backpressure is end to end: the completion channel is bounded too,
-    /// so a submitter that never drains results can wedge the pool once
-    /// `completion_capacity` results are outstanding (workers block
-    /// delivering, the injector fills, `submit` blocks). Either drain
-    /// concurrently — the [`Pool::try_submit`] + [`Pool::recv_result`]
-    /// alternation `run_batch` uses — or size `completion_capacity` to the
-    /// whole batch.
-    pub fn submit(&self, payload: T) -> Result<u64, SubmitError<T>> {
-        match self.decide() {
-            Decision::Shed { watermark, depth } => Err(SubmitError::Shed {
-                job: payload,
-                watermark,
-                depth,
-            }),
-            Decision::Admit(admission) => {
-                let (id, job) = self.make_job(payload, admission);
-                match self.shared.injector.send(job) {
-                    Ok(()) => {
-                        self.shared.sink.add("pipeline_jobs_submitted", 1);
-                        Ok(id)
-                    }
-                    Err(job) => Err(SubmitError::Closed(job.payload)),
-                }
-            }
-        }
-    }
-
-    /// Submits a job only if the injector has room right now;
-    /// [`TrySubmitError::QueueFull`] is the backpressure signal.
+    /// so a submitter that never drains results stops being able to
+    /// submit once `queue_capacity + workers` results are outstanding.
+    /// [`run_ordered`] drains one completion per refusal.
     pub fn try_submit(&self, payload: T) -> Result<u64, TrySubmitError<T>> {
-        match self.decide() {
-            Decision::Shed { watermark, depth } => Err(TrySubmitError::Shed {
-                job: payload,
-                watermark,
-                depth,
-            }),
-            Decision::Admit(admission) => {
-                let (id, job) = self.make_job(payload, admission);
-                match self.shared.injector.try_send(job) {
-                    Ok(()) => {
-                        self.shared.sink.add("pipeline_jobs_submitted", 1);
-                        Ok(id)
-                    }
-                    Err(TrySendError::Full(job)) => Err(TrySubmitError::QueueFull(job.payload)),
-                    Err(TrySendError::Closed(job)) => Err(TrySubmitError::Closed(job.payload)),
-                }
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let job = Job {
+            id,
+            payload,
+            submitted: Instant::now(),
+        };
+        match self.shared.injector.try_send(job) {
+            Ok(()) => {
+                self.shared.sink.add("pipeline_jobs_submitted", 1);
+                Ok(id)
             }
+            Err(TrySendError::Full(job)) => Err(TrySubmitError::QueueFull(job.payload)),
+            Err(TrySendError::Closed(job)) => Err(TrySubmitError::Closed(job.payload)),
         }
     }
 
@@ -440,11 +287,6 @@ impl<T: Send + 'static, R: Send + 'static> Pool<T, R> {
     /// and the completion channel drained.
     pub fn recv_result(&self) -> Option<JobResult<R>> {
         self.shared.completions.recv()
-    }
-
-    /// The next completion, if one is ready right now.
-    pub fn try_recv_result(&self) -> Option<JobResult<R>> {
-        self.shared.completions.try_recv()
     }
 
     /// Closes the injector, lets every already-admitted job finish, joins
@@ -513,74 +355,6 @@ impl<T: Send + 'static, R: Send + 'static> Pool<T, R> {
             abandoned,
         }
     }
-
-    /// Assigns the next id and wraps the payload.
-    fn make_job(&self, payload: T, admission: Admission) -> (u64, Job<T>) {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        (
-            id,
-            Job {
-                id,
-                payload,
-                admission,
-                submitted: Instant::now(),
-            },
-        )
-    }
-
-    /// Applies the shedding policy to one submission attempt.
-    fn decide(&self) -> Decision {
-        let Some(policy) = self.shed else {
-            return Decision::Admit(Admission::Normal);
-        };
-        let depth = self.shared.injector.len();
-        let mut since = self
-            .saturated_since
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if depth < policy.watermark {
-            *since = None;
-            return Decision::Admit(Admission::Normal);
-        }
-        let start = since.get_or_insert_with(Instant::now);
-        if start.elapsed() < policy.sustained {
-            // Saturated, but not yet long enough: plain backpressure.
-            return Decision::Admit(Admission::Normal);
-        }
-        drop(since);
-        self.report_shed(&policy, depth);
-        match policy.mode {
-            ShedMode::Drop => Decision::Shed {
-                watermark: policy.watermark,
-                depth,
-            },
-            ShedMode::Strict => Decision::Admit(Admission::Strict {
-                watermark: policy.watermark,
-                depth,
-            }),
-        }
-    }
-
-    /// Every shed decision reaches the sink — as a counter always, and as
-    /// a degradation event on the audit trail when tracing is on.
-    fn report_shed(&self, policy: &ShedPolicy, depth: usize) {
-        let sink = &self.shared.sink;
-        sink.add(
-            match policy.mode {
-                ShedMode::Drop => "pipeline_jobs_shed",
-                ShedMode::Strict => "pipeline_jobs_strict",
-            },
-            1,
-        );
-        if sink.enabled() {
-            sink.event(TraceEvent::Degradation {
-                stage: DegradationStage::Pipeline.to_string(),
-                limit: LimitKind::QueueDepth.name().to_owned(),
-                cap: u64::try_from(policy.watermark).unwrap_or(u64::MAX),
-                observed: u64::try_from(depth).unwrap_or(u64::MAX),
-            });
-        }
-    }
 }
 
 impl<T, R> Drop for Pool<T, R> {
@@ -594,81 +368,77 @@ impl<T, R> Drop for Pool<T, R> {
     }
 }
 
-/// One worker thread: drain own deque (LIFO) → batch-refill from the
-/// injector → steal from a sibling (oldest first) → short wait on the
-/// injector, repeat. Exits when the injector is closed and no work remains
-/// anywhere it can see. Returns its private metrics for the shutdown
-/// merge.
-fn worker_loop<T, R>(
-    shared: &Shared<T, R>,
-    me: usize,
-    poll: Duration,
-    refill: usize,
-) -> RegistrySnapshot {
+/// Every input's completion, in input order, plus the merged worker
+/// metrics — what [`run_ordered`] returns.
+#[derive(Debug)]
+pub struct OrderedRun<R> {
+    /// One completion per input; `results[i]` belongs to input `i`.
+    pub results: Vec<JobResult<R>>,
+    /// All workers' private registries, merged at shutdown: job counts,
+    /// panics, `pipeline_queue_wait` / `pipeline_run_time` histograms.
+    pub metrics: RegistrySnapshot,
+}
+
+/// Runs every input through a fresh pool of `workers` threads (with the
+/// default `2 × workers` queue) and returns one completion per input, in
+/// input order.
+///
+/// The submission pump is single-threaded on purpose. It alternates a
+/// non-blocking [`Pool::try_submit`] with a blocking [`Pool::recv_result`]
+/// whenever the queue is full, so it can never be blocked on both bounded
+/// channels at once — the classic bounded-queue-pair deadlock — and every
+/// admitted job's completion is eventually received; shutdown collects the
+/// rest.
+///
+/// # Errors
+///
+/// [`PoolError::ZeroWorkers`] or [`PoolError::Spawn`] when the pool cannot
+/// start, and [`PoolError::LostJobs`] if some input never completed.
+pub fn run_ordered<T, R>(
+    workers: usize,
+    inputs: impl IntoIterator<Item = T>,
+    runner: impl Fn(T) -> R + Send + Sync + 'static,
+    sink: Arc<dyn TraceSink>,
+) -> Result<OrderedRun<R>, PoolError>
+where
+    T: Send + 'static,
+    R: Send + 'static,
+{
+    let pool = Pool::new(PoolConfig::with_workers(workers), runner, sink)?;
+    let mut submitted = 0usize;
+    let mut results = Vec::new();
+    for mut input in inputs {
+        submitted += 1;
+        while let Err(TrySubmitError::QueueFull(returned)) = pool.try_submit(input) {
+            input = returned;
+            results.extend(pool.recv_result());
+        }
+    }
+    let shutdown = pool.shutdown();
+    results.extend(shutdown.unclaimed);
+    if results.len() < submitted {
+        return Err(PoolError::LostJobs(submitted - results.len()));
+    }
+    // Ids ascend in submission order and each admitted job completes
+    // exactly once, so sorting by id restores input order.
+    results.sort_by_key(|r| r.job_id);
+    Ok(OrderedRun {
+        results,
+        metrics: shutdown.metrics,
+    })
+}
+
+/// One worker thread: take the oldest queued job, run it, repeat. Exits
+/// once the injector is closed and drained, or when the completion channel
+/// is closed under it. Returns its private metrics for the shutdown merge.
+fn worker_loop<T, R>(shared: &Shared<T, R>, me: usize) -> RegistrySnapshot {
     let metrics = Registry::new();
-    loop {
-        // 1. Own deque, newest first: the cache-warm path.
-        if let Some(job) = shared.deques.get(me).and_then(WorkerDeque::pop) {
-            if !run_job(shared, &metrics, me, job) {
-                break;
-            }
-            continue;
-        }
-        // 2. Refill from the injector in one lock acquisition.
-        let mut grabbed = shared.injector.try_recv_batch(refill);
-        if !grabbed.is_empty() {
-            let first = grabbed.remove(0);
-            if let Some(deque) = shared.deques.get(me) {
-                for job in grabbed {
-                    deque.push(job);
-                }
-            }
-            if !run_job(shared, &metrics, me, first) {
-                break;
-            }
-            continue;
-        }
-        // 3. Steal the oldest job from a sibling.
-        if let Some(job) = steal_from_siblings(shared, me) {
-            metrics.add("pipeline_steals", 1);
-            if !run_job(shared, &metrics, me, job) {
-                break;
-            }
-            continue;
-        }
-        // 4. Nothing anywhere: wait briefly for the injector, then rescan
-        //    (a sibling may have become stealable while we slept).
-        match shared.injector.recv_timeout(poll) {
-            RecvTimeout::Item(job) => {
-                if !run_job(shared, &metrics, me, job) {
-                    break;
-                }
-            }
-            RecvTimeout::TimedOut => {}
-            RecvTimeout::Disconnected => {
-                // Closed and drained. One final sweep so a job pushed to a
-                // sibling's deque just before the close is not stranded if
-                // its owner is busy with a long job.
-                if let Some(job) = steal_from_siblings(shared, me) {
-                    metrics.add("pipeline_steals", 1);
-                    if !run_job(shared, &metrics, me, job) {
-                        break;
-                    }
-                    continue;
-                }
-                break;
-            }
+    while let Some(job) = shared.injector.recv() {
+        if !run_job(shared, &metrics, me, job) {
+            break;
         }
     }
     metrics.typed_snapshot()
-}
-
-/// Scans the other workers' deques round-robin starting after `me`.
-fn steal_from_siblings<T, R>(shared: &Shared<T, R>, me: usize) -> Option<Job<T>> {
-    let n = shared.deques.len();
-    (1..n)
-        .filter_map(|offset| shared.deques.get((me + offset) % n))
-        .find_map(WorkerDeque::steal)
 }
 
 /// Runs one job under `catch_unwind` and delivers its completion record.
@@ -676,18 +446,13 @@ fn steal_from_siblings<T, R>(shared: &Shared<T, R>, me: usize) -> Option<Job<T>>
 /// that the pool was abandoned and the worker should exit.
 fn run_job<T, R>(shared: &Shared<T, R>, metrics: &Registry, me: usize, job: Job<T>) -> bool {
     let queue_wait = job.submitted.elapsed();
-    let Job {
-        id,
-        payload,
-        admission,
-        ..
-    } = job;
+    let Job { id, payload, .. } = job;
     let started = Instant::now();
     // AssertUnwindSafe: the runner only sees state it owns (the moved
     // payload) or shares behind `&` (the caller's extractor, whose methods
     // take `&self` and keep no cross-call mutable state), so a panic
     // cannot leave anything observable torn.
-    let outcome = catch_unwind(AssertUnwindSafe(|| (shared.runner)(payload, admission)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| (shared.runner)(payload)));
     let run_time = started.elapsed();
     metrics.add("pipeline_jobs_run", 1);
     metrics.observe("pipeline_queue_wait", duration_ns(queue_wait));
@@ -709,7 +474,6 @@ fn run_job<T, R>(shared: &Shared<T, R>, metrics: &Registry, me: usize, job: Job<
         .send(JobResult {
             job_id: id,
             worker: me,
-            admission,
             queue_wait,
             run_time,
             output,
@@ -737,120 +501,90 @@ fn duration_ns(d: Duration) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbd_trace::{CollectingSink, NullSink};
+    use rbd_trace::NullSink;
 
     fn null_sink() -> Arc<dyn TraceSink> {
         Arc::new(NullSink)
     }
 
-    /// Submits `count` squaring jobs and collects every result, plus the
-    /// id → payload map of the successful submissions. Ids burnt by
-    /// `QueueFull` retries leave gaps, so the map — not contiguity — is
-    /// the ground truth.
-    fn run_squares(
-        workers: usize,
-        count: u64,
-    ) -> (Vec<JobResult<u64>>, std::collections::BTreeMap<u64, u64>) {
-        let pool = Pool::new(
-            PoolConfig::with_workers(workers),
-            |x: u64, _| x * x,
-            null_sink(),
-        )
-        .expect("valid config");
-        let mut results = Vec::new();
-        let mut submitted = std::collections::BTreeMap::new();
-        for x in 0..count {
-            loop {
-                match pool.try_submit(x) {
-                    Ok(id) => {
-                        submitted.insert(id, x);
-                        break;
-                    }
-                    Err(TrySubmitError::QueueFull(_)) => {
-                        results.extend(pool.recv_result());
-                    }
-                    Err(e) => panic!("unexpected submit failure: {e:?}"),
+    /// Submits one job to a pool nobody drains, waiting out a full queue.
+    fn submit_waiting<T: Send + 'static, R: Send + 'static>(pool: &Pool<T, R>, mut payload: T) {
+        loop {
+            match pool.try_submit(payload) {
+                Ok(_) => return,
+                Err(TrySubmitError::QueueFull(returned)) => {
+                    payload = returned;
+                    std::thread::sleep(Duration::from_micros(200));
                 }
+                Err(TrySubmitError::Closed(_)) => panic!("pool closed under the test"),
             }
         }
-        while results.len() < usize::try_from(count).expect("small count") {
-            results.extend(pool.recv_result());
-        }
-        let report = pool.shutdown();
-        assert!(report.unclaimed.is_empty(), "all results already drained");
-        assert_eq!(report.worker_panics, 0);
-        (results, submitted)
     }
 
     #[test]
     fn every_job_completes_exactly_once() {
         for workers in [1, 2, 4] {
-            let (mut results, submitted) = run_squares(workers, 100);
-            results.sort_by_key(|r| r.job_id);
-            // Exactly the successful submissions completed — no job lost,
-            // none duplicated — and ids are monotone in submission order.
-            let ids: Vec<u64> = results.iter().map(|r| r.job_id).collect();
-            let expected: Vec<u64> = submitted.keys().copied().collect();
-            assert_eq!(ids, expected, "workers={workers}");
-            let mut payloads: Vec<u64> = submitted.values().copied().collect();
-            payloads.sort_unstable();
-            assert_eq!(payloads, (0..100).collect::<Vec<_>>(), "workers={workers}");
-            for r in &results {
-                let x = submitted[&r.job_id];
-                assert_eq!(r.output.as_ref().copied().expect("no panics"), x * x);
+            let run =
+                run_ordered(workers, 0..100u64, |x: u64| x * x, null_sink()).expect("valid config");
+            // One completion per input, in input order: no job lost, none
+            // duplicated, none out of place.
+            assert_eq!(run.results.len(), 100, "workers={workers}");
+            for (x, r) in (0..100u64).zip(&run.results) {
+                assert_eq!(r.output, Ok(x * x), "workers={workers}");
                 assert!(r.worker < workers);
             }
+            assert_eq!(
+                run.metrics.counters.get("pipeline_jobs_run"),
+                Some(&100),
+                "workers={workers}"
+            );
         }
     }
 
     #[test]
     fn zero_workers_is_rejected() {
         let result: Result<Pool<u64, u64>, PoolError> =
-            Pool::new(PoolConfig::with_workers(0), |x, _| x, null_sink());
+            Pool::new(PoolConfig::with_workers(0), |x| x, null_sink());
         assert_eq!(result.err(), Some(PoolError::ZeroWorkers));
     }
 
     #[test]
     fn panicking_job_is_isolated() {
-        let pool = Pool::new(
-            PoolConfig::with_workers(2),
-            |x: u64, _| {
+        let inputs = [1u64, 2, 13, 3];
+        let run = run_ordered(
+            2,
+            inputs,
+            |x: u64| {
                 assert!(x != 13, "unlucky payload");
                 x + 1
             },
             null_sink(),
         )
         .expect("valid config");
-        for x in [13u64, 1, 2, 3] {
-            pool.submit(x).expect("open pool");
+        // Exactly one panic, at the panicking payload's index; the pool
+        // survived and the others ran normally, in input order.
+        for (i, (x, r)) in inputs.iter().zip(&run.results).enumerate() {
+            if i == 2 {
+                assert!(matches!(&r.output, Err(p) if p.message.contains("unlucky")));
+            } else {
+                assert_eq!(r.output, Ok(x + 1), "input {i}");
+            }
         }
-        let mut results: Vec<JobResult<u64>> = Vec::new();
-        while results.len() < 4 {
-            results.extend(pool.recv_result());
-        }
-        let report = pool.shutdown();
-        results.sort_by_key(|r| r.job_id);
-        let panicked = &results[0];
-        assert!(matches!(&panicked.output, Err(p) if p.message.contains("unlucky")));
-        // The pool survived: the other three ran normally.
-        assert!(results[1..].iter().all(|r| r.output.is_ok()));
-        assert_eq!(
-            report.metrics.counters.get("pipeline_jobs_panicked"),
-            Some(&1)
-        );
-        assert_eq!(report.metrics.counters.get("pipeline_jobs_run"), Some(&4));
+        assert_eq!(run.results.len(), inputs.len());
+        assert_eq!(run.metrics.counters.get("pipeline_jobs_panicked"), Some(&1));
+        assert_eq!(run.metrics.counters.get("pipeline_jobs_run"), Some(&4));
     }
 
     #[test]
     fn shutdown_returns_unclaimed_results() {
         let pool = Pool::new(
             PoolConfig::with_workers(2).with_queue_capacity(64),
-            |x: u64, _| x,
+            |x: u64| x,
             null_sink(),
         )
         .expect("valid config");
         for x in 0..20u64 {
-            pool.submit(x).expect("open pool");
+            pool.try_submit(x).expect("room in the queue");
         }
         // Shut down without draining anything: nothing may be lost.
         let report = pool.shutdown();
@@ -860,156 +594,7 @@ mod tests {
     }
 
     #[test]
-    fn drop_mode_sheds_and_reports() {
-        let sink = Arc::new(CollectingSink::new());
-        // One worker parked on jobs that wait for a channel we control.
-        let gate: Arc<Bounded<()>> = Arc::new(Bounded::new(64));
-        let pool = {
-            let gate = Arc::clone(&gate);
-            Pool::new(
-                PoolConfig::with_workers(1)
-                    .with_queue_capacity(4)
-                    .with_shed(ShedPolicy {
-                        watermark: 2,
-                        sustained: Duration::ZERO,
-                        mode: ShedMode::Drop,
-                    }),
-                move |x: u64, _| {
-                    gate.recv();
-                    x
-                },
-                Arc::clone(&sink) as Arc<dyn TraceSink>,
-            )
-            .expect("valid config")
-        };
-        // Fill past the watermark; with a zero sustain window the next
-        // submission must shed.
-        let mut admitted = 0u64;
-        let mut shed = 0u64;
-        for x in 0..8u64 {
-            match pool.try_submit(x) {
-                Ok(_) => admitted += 1,
-                Err(TrySubmitError::Shed {
-                    watermark, depth, ..
-                }) => {
-                    shed += 1;
-                    assert_eq!(watermark, 2);
-                    assert!(depth >= 2);
-                }
-                Err(TrySubmitError::QueueFull(_)) => break,
-                Err(e) => panic!("unexpected: {e:?}"),
-            }
-        }
-        assert!(shed > 0, "sustained saturation must shed");
-        assert_eq!(sink.registry().counter("pipeline_jobs_shed"), shed);
-        assert!(
-            sink.events().iter().any(
-                |e| matches!(e, TraceEvent::Degradation { limit, .. } if limit == "queue-depth")
-            ),
-            "shed must reach the audit trail: {:?}",
-            sink.events()
-        );
-        // Release the workers and verify the admitted jobs all complete.
-        for _ in 0..admitted {
-            gate.send(()).expect("gate open");
-        }
-        let mut got = 0;
-        while got < admitted {
-            if pool.recv_result().is_some() {
-                got += 1;
-            }
-        }
-        gate.close();
-        let report = pool.shutdown();
-        assert!(report.unclaimed.is_empty());
-    }
-
-    #[test]
-    fn strict_mode_admits_with_strict_admission() {
-        let sink = Arc::new(CollectingSink::new());
-        let gate: Arc<Bounded<()>> = Arc::new(Bounded::new(64));
-        let pool = {
-            let gate = Arc::clone(&gate);
-            Pool::new(
-                PoolConfig::with_workers(1)
-                    .with_queue_capacity(8)
-                    .with_shed(ShedPolicy {
-                        watermark: 2,
-                        sustained: Duration::ZERO,
-                        mode: ShedMode::Strict,
-                    }),
-                move |x: u64, admission| {
-                    gate.recv();
-                    match admission {
-                        Admission::Normal => x,
-                        Admission::Strict { .. } => x + 1_000,
-                    }
-                },
-                Arc::clone(&sink) as Arc<dyn TraceSink>,
-            )
-            .expect("valid config")
-        };
-        for x in 0..6u64 {
-            pool.submit(x).expect("strict mode never drops");
-        }
-        for _ in 0..6 {
-            gate.send(()).expect("gate open");
-        }
-        let mut results: Vec<JobResult<u64>> = Vec::new();
-        while results.len() < 6 {
-            results.extend(pool.recv_result());
-        }
-        gate.close();
-        pool.shutdown();
-        results.sort_by_key(|r| r.job_id);
-        let strict: Vec<&JobResult<u64>> = results
-            .iter()
-            .filter(|r| matches!(r.admission, Admission::Strict { .. }))
-            .collect();
-        assert!(!strict.is_empty(), "saturation must flag strict admissions");
-        // The runner observed the same admission the result reports.
-        for r in &results {
-            let expected = match r.admission {
-                Admission::Normal => r.job_id,
-                Admission::Strict { .. } => r.job_id + 1_000,
-            };
-            assert_eq!(r.output.as_ref().copied().expect("no panics"), expected);
-        }
-        assert_eq!(
-            sink.registry().counter("pipeline_jobs_strict"),
-            strict.len() as u64
-        );
-    }
-
-    #[test]
-    fn saturation_below_sustain_window_does_not_shed() {
-        let pool = Pool::new(
-            PoolConfig::with_workers(1)
-                .with_queue_capacity(4)
-                .with_shed(ShedPolicy {
-                    watermark: 1,
-                    sustained: Duration::from_secs(3600),
-                    mode: ShedMode::Drop,
-                }),
-            |x: u64, _| x,
-            null_sink(),
-        )
-        .expect("valid config");
-        // The queue crosses the watermark instantly, but the sustain
-        // window is an hour: every submission must be admitted.
-        for x in 0..4u64 {
-            pool.submit(x).expect("no shedding inside the window");
-        }
-        let mut results = Vec::new();
-        while results.len() < 4 {
-            results.extend(pool.recv_result());
-        }
-        pool.shutdown();
-    }
-
-    #[test]
     fn detached_pool_runs_jobs_without_completions() {
-        use std::sync::atomic::AtomicU64;
         let ran = Arc::new(AtomicU64::new(0));
         let pool = {
             let ran = Arc::clone(&ran);
@@ -1017,7 +602,7 @@ mod tests {
                 PoolConfig::with_workers(2)
                     .with_queue_capacity(8)
                     .detached(),
-                move |x: u64, _| {
+                move |x: u64| {
                     ran.fetch_add(x, Ordering::SeqCst);
                 },
                 null_sink(),
@@ -1028,7 +613,7 @@ mod tests {
         // delivering mode an undrained submitter would wedge here; in
         // detached mode every job must run to completion regardless.
         for x in 0..100u64 {
-            pool.submit(x).expect("open pool");
+            submit_waiting(&pool, x);
         }
         let report = pool.shutdown();
         assert_eq!(ran.load(Ordering::SeqCst), (0..100).sum::<u64>());
@@ -1042,12 +627,12 @@ mod tests {
     fn detached_pool_still_counts_panics() {
         let pool = Pool::new(
             PoolConfig::with_workers(1).detached(),
-            |x: u64, _| assert!(x != 7, "bad payload"),
+            |x: u64| assert!(x != 7, "bad payload"),
             null_sink(),
         )
         .expect("valid config");
         for x in [7u64, 1, 2] {
-            pool.submit(x).expect("open pool");
+            submit_waiting(&pool, x);
         }
         let report = pool.shutdown();
         assert_eq!(report.metrics.counters.get("pipeline_jobs_run"), Some(&3));
@@ -1065,14 +650,14 @@ mod tests {
             let gate = Arc::clone(&gate);
             Pool::new(
                 PoolConfig::with_workers(1).detached(),
-                move |_: u64, _| {
+                move |_: u64| {
                     gate.recv();
                 },
                 null_sink(),
             )
             .expect("valid config")
         };
-        pool.submit(0).expect("open pool");
+        pool.try_submit(0).expect("room in the queue");
         // The single worker is parked inside the job waiting on the gate;
         // the drain deadline must expire and abandon it rather than hang.
         let started = Instant::now();
@@ -1088,10 +673,10 @@ mod tests {
 
     #[test]
     fn shutdown_within_reports_zero_abandoned_when_workers_finish() {
-        let pool = Pool::new(PoolConfig::with_workers(2), |x: u64, _| x, null_sink())
-            .expect("valid config");
+        let pool =
+            Pool::new(PoolConfig::with_workers(2), |x: u64| x, null_sink()).expect("valid config");
         for x in 0..10u64 {
-            pool.submit(x).expect("open pool");
+            submit_waiting(&pool, x);
         }
         let report = pool.shutdown_within(Duration::from_secs(30));
         assert_eq!(report.abandoned, 0);
@@ -1100,20 +685,20 @@ mod tests {
 
     #[test]
     fn metrics_cover_every_job() {
-        let (results, _) = run_squares(4, 50);
-        assert_eq!(results.len(), 50);
+        let run = run_ordered(4, 0..50u64, |x: u64| x * x, null_sink()).expect("valid config");
+        assert_eq!(run.results.len(), 50);
         // This submitter never drains, so the completion channel (sized
         // from the queue capacity) must have room for the whole batch —
         // otherwise the bounded completions exert backpressure right back
-        // through the workers and `submit` blocks forever, by design.
+        // through the workers and the queue stays full forever, by design.
         let pool = Pool::new(
             PoolConfig::with_workers(4).with_queue_capacity(64),
-            |x: u64, _| x,
+            |x: u64| x,
             null_sink(),
         )
         .expect("valid config");
         for x in 0..50u64 {
-            pool.submit(x).expect("open pool");
+            pool.try_submit(x).expect("room in the queue");
         }
         let report = pool.shutdown();
         assert_eq!(report.metrics.counters.get("pipeline_jobs_run"), Some(&50));

@@ -12,9 +12,9 @@
 //!    socket timeout and an overall deadline; head and body sizes are
 //!    capped before allocation; extraction panics are caught per request.
 //! 2. **Overload degrades, never queues unboundedly.** The accept loop
-//!    gates on a connection cap; the pool's bounded injector plus shed
-//!    policy turn sustained saturation into `503 Retry-After` (or strict-
-//!    limits admission), exactly as `rbd-pipeline` does for batch work.
+//!    gates on a connection cap, and a connection arriving at the pool's
+//!    full bounded injector is answered `503 Retry-After` — the same
+//!    queue bound `rbd-pipeline` puts on batch work.
 //! 3. **Observability is structural.** Every decision lands in a counter
 //!    (`GET /metrics`), and with an audit sink attached, in the typed
 //!    [`ServerEvent`](rbd_trace::ServerEvent) stream.

@@ -8,7 +8,7 @@
 //!  ───────────────────────           ───────────────────────────────
 //!  accept → arm socket deadlines
 //!         → connection-count gate ──refuse──▶ 503 + Retry-After
-//!         → try_submit ────────────queue/shed─▶ 503 + Retry-After
+//!         → try_submit ────────────queue full─▶ 503 + Retry-After
 //!                      └──────────admitted───▶ worker: parse request
 //!                                              → route → extract
 //!                                              → write response → close
@@ -36,7 +36,7 @@ use crate::http::{self, HttpCaps, HttpError, Request, Response};
 use rbd_core::{DiscoveryError, Extraction, ExtractorConfig, Limits, RecordExtractor};
 use rbd_json::Json;
 use rbd_limits::Deadline;
-use rbd_pipeline::{Admission, Pool, PoolConfig, PoolError, ShedMode, ShedPolicy, TrySubmitError};
+use rbd_pipeline::{Pool, PoolConfig, PoolError, TrySubmitError};
 use rbd_store::{extraction_response_json, ContentHash, Store, StoredDoc};
 use rbd_trace::{
     export, unix_micros, MetricsSink, NullSink, RegistrySnapshot, RollingWindows, ScopedSink,
@@ -75,7 +75,8 @@ pub struct ServeConfig {
     /// Extraction worker threads.
     pub workers: usize,
     /// Bounded injector capacity — connections admitted but not yet
-    /// picked up by a worker.
+    /// picked up by a worker. A connection arriving at a full queue is
+    /// refused with 503.
     pub queue_capacity: usize,
     /// Connections in flight (queued + being served) before the accept
     /// loop starts refusing with 503.
@@ -89,8 +90,6 @@ pub struct ServeConfig {
     /// How long graceful shutdown waits for in-flight requests before
     /// abandoning wedged workers.
     pub drain_deadline: Duration,
-    /// Load-shedding policy forwarded to the pipeline pool.
-    pub shed: Option<ShedPolicy>,
     /// `Retry-After` seconds sent with every 503.
     pub retry_after_s: u64,
     /// When set, each traced request's span tree is written to
@@ -119,11 +118,6 @@ impl Default for ServeConfig {
             io_timeout: Duration::from_secs(5),
             request_deadline: Duration::from_secs(10),
             drain_deadline: Duration::from_secs(5),
-            shed: Some(ShedPolicy {
-                watermark: 48,
-                sustained: Duration::from_millis(100),
-                mode: ShedMode::Drop,
-            }),
             retry_after_s: 1,
             trace_dir: None,
             slow_threshold: None,
@@ -490,16 +484,13 @@ impl Server {
             retry_after_s: config.retry_after_s,
         });
 
-        let mut pool_config = PoolConfig::with_workers(config.workers)
+        let pool_config = PoolConfig::with_workers(config.workers)
             .with_queue_capacity(config.queue_capacity)
             .detached();
-        if let Some(shed) = config.shed {
-            pool_config = pool_config.with_shed(shed);
-        }
         let runner_ctx = Arc::clone(&ctx);
         let pool = Pool::new(
             pool_config,
-            move |conn: Conn, admission| handle_connection(&runner_ctx, conn, admission),
+            move |conn: Conn| handle_connection(&runner_ctx, conn),
             Arc::clone(&metrics) as Arc<dyn TraceSink>,
         )
         .map_err(ServeError::Pool)?;
@@ -634,9 +625,6 @@ fn admit(
         Err(TrySubmitError::QueueFull(conn)) => {
             bounce(ctx, conn.stream, pool.queue_depth(), parting);
         }
-        Err(TrySubmitError::Shed { job, depth, .. }) => {
-            bounce(ctx, job.stream, depth, parting);
-        }
         Err(TrySubmitError::Closed(conn)) => {
             ctx.active.fetch_sub(1, Ordering::SeqCst);
             drop(conn);
@@ -708,7 +696,7 @@ fn reap_parting(parting: &mut Vec<(TcpStream, Instant)>) {
 /// peer's `x-rbd-trace-id` header when it carries a valid one, freshly
 /// generated otherwise — which is echoed back in the response and stamps
 /// the whole span tree.
-fn handle_connection(ctx: &Ctx, conn: Conn, admission: Admission) {
+fn handle_connection(ctx: &Ctx, conn: Conn) {
     let _guard = ActiveGuard {
         active: &ctx.active,
     };
@@ -734,8 +722,7 @@ fn handle_connection(ctx: &Ctx, conn: Conn, admission: Admission) {
                 job_started,
                 job_started_us,
             );
-            let response =
-                route(ctx, &rt, &request, admission).with_header("x-rbd-trace-id", trace.to_hex());
+            let response = route(ctx, &rt, &request).with_header("x-rbd-trace-id", trace.to_hex());
             send(ctx, &mut stream, &response);
             rt.finish(ctx, response.status);
         }
@@ -800,9 +787,9 @@ fn drain_politely(stream: &mut TcpStream) {
     }
 }
 
-fn route(ctx: &Ctx, rt: &RequestTrace, request: &Request, admission: Admission) -> Response {
+fn route(ctx: &Ctx, rt: &RequestTrace, request: &Request) -> Response {
     match (request.method.as_str(), request.target.as_str()) {
-        ("POST", "/extract") => extract(ctx, rt, request, admission),
+        ("POST", "/extract") => extract(ctx, rt, request),
         ("GET", "/healthz") => {
             let body = Json::object([
                 ("status", Json::Str("ok".to_string())),
@@ -870,7 +857,7 @@ fn route(ctx: &Ctx, rt: &RequestTrace, request: &Request, admission: Admission) 
 /// the request's trace id and parents every extraction span under the
 /// `serve:worker` span — one coherent tree per request. Otherwise it runs
 /// the metrics-only path, identical to the pre-tracing service.
-fn extract(ctx: &Ctx, rt: &RequestTrace, request: &Request, admission: Admission) -> Response {
+fn extract(ctx: &Ctx, rt: &RequestTrace, request: &Request) -> Response {
     let Ok(html) = std::str::from_utf8(&request.body) else {
         ctx.metrics.add("serve_requests_client_error", 1);
         return Response::json(
@@ -882,16 +869,15 @@ fn extract(ctx: &Ctx, rt: &RequestTrace, request: &Request, admission: Admission
     // The cache only speaks for the default limits profile: a strict or
     // unbounded extraction of the same bytes can legitimately differ, so
     // those requests bypass the store in both directions.
-    let cacheable = ctx.store.is_some()
-        && matches!(admission, Admission::Normal)
-        && matches!(request.header("x-rbd-limits"), None | Some("default"));
+    let cacheable =
+        ctx.store.is_some() && matches!(request.header("x-rbd-limits"), None | Some("default"));
     if cacheable {
         if let Some(body) = store_lookup(ctx, rt, html) {
             ctx.metrics.add("serve_requests_ok", 1);
             return Response::json(200, "OK", body).with_header("x-rbd-cache", "hit".to_string());
         }
     }
-    let extractor = profile_for(ctx, request, admission);
+    let extractor = profile_for(ctx, request);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if rt.collecting {
             let scoped = ScopedSink::new(rt, rt.trace, Some(rt.worker));
@@ -1002,14 +988,10 @@ fn store_insert(ctx: &Ctx, html: &str, extraction: &Extraction) {
     }
 }
 
-/// Picks the limits profile: strict admission (shed pressure) wins, then
-/// the `x-rbd-limits` header; an unrecognized value degrades to the
-/// default profile with a counter rather than failing the request.
-fn profile_for<'a>(ctx: &'a Ctx, request: &Request, admission: Admission) -> &'a RecordExtractor {
-    if let Admission::Strict { .. } = admission {
-        ctx.metrics.add("serve_admitted_strict", 1);
-        return &ctx.profiles.strict;
-    }
+/// Picks the limits profile from the `x-rbd-limits` header; an
+/// unrecognized value degrades to the default profile with a counter
+/// rather than failing the request.
+fn profile_for<'a>(ctx: &'a Ctx, request: &Request) -> &'a RecordExtractor {
     match request.header("x-rbd-limits") {
         None | Some("default") => &ctx.profiles.default_profile,
         Some("strict") => &ctx.profiles.strict,

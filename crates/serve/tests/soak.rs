@@ -480,6 +480,70 @@ fn connection_cap_sheds_with_retry_after() {
     );
 }
 
+/// Deterministic queue-full refusal, the pool's only overload path: with
+/// one worker held by a slowloris request and the one queue slot held by a
+/// second, the next connection is refused `503` with `Retry-After` even
+/// though the connection cap has room.
+#[test]
+fn full_queue_sheds_with_retry_after() {
+    let server = Server::bind(
+        ServeConfig {
+            workers: 1,
+            queue_capacity: 1,
+            max_connections: 8,
+            io_timeout: Duration::from_secs(2),
+            request_deadline: Duration::from_secs(5),
+            ..ServeConfig::default()
+        },
+        None,
+    )
+    .expect("bind");
+    let addr = server.local_addr().expect("local addr");
+    let shutdown = server.shutdown_handle();
+    let server_thread = std::thread::spawn(move || server.run());
+
+    // The first holder occupies the worker; once the worker has picked it
+    // up, the second holder sits in the single queue slot.
+    let partial = b"POST /extract HTTP/1.1\r\nContent-Length: 5\r\n\r\n";
+    let mut running = TcpStream::connect(addr).expect("connect running holder");
+    running.write_all(partial).expect("partial request");
+    std::thread::sleep(Duration::from_millis(300));
+    let mut queued = TcpStream::connect(addr).expect("connect queued holder");
+    queued.write_all(partial).expect("partial request");
+    std::thread::sleep(Duration::from_millis(300));
+
+    let refused = talk(addr, b"GET /healthz HTTP/1.1\r\n\r\n").expect("refused client");
+    assert_eq!(status_of(&refused), 503, "{refused}");
+    assert!(refused.contains("Retry-After: 1\r\n"), "{refused}");
+    assert!(refused.contains("\"kind\":\"overload\""), "{refused}");
+
+    // Finish both holders in order; the service then answers normally.
+    for (name, holder) in [("running", &mut running), ("queued", &mut queued)] {
+        holder.write_all(b"hello").expect("finish holder");
+        let mut out = String::new();
+        holder.read_to_string(&mut out).expect("holder response");
+        assert_eq!(
+            status_of(&out),
+            422,
+            "{name}: plain text has no tags: {out}"
+        );
+    }
+    let healthy = talk(addr, b"GET /healthz HTTP/1.1\r\n\r\n").expect("recovered client");
+    assert_eq!(status_of(&healthy), 200, "service must recover: {healthy}");
+
+    shutdown.trigger();
+    let report = server_thread.join().expect("server thread");
+    assert!(
+        report
+            .metrics
+            .counters
+            .get("serve_requests_shed")
+            .copied()
+            .unwrap_or(0)
+            >= 1
+    );
+}
+
 /// A worker wedged past the drain deadline is abandoned, not waited on
 /// forever: shutdown must return promptly and report it.
 #[test]

@@ -277,8 +277,8 @@ fn run_batch_files(
             .map_or("?", String::as_str);
         lines.push(if args.json {
             // Typed entries (rbd::report): failures carry an `"error"`
-            // object with a `kind` discriminant (`discovery`/`shed`/
-            // `panic`) instead of a bare string.
+            // object with a `kind` discriminant (`discovery`/`panic`)
+            // instead of a bare string.
             rbd::report::batch_entry_json(path, &result.outcome).to_string()
         } else {
             match &result.outcome {
@@ -299,11 +299,9 @@ fn run_batch_files(
         }
         let _ = writeln!(
             out,
-            "{} docs, {} succeeded, {} shed, {} strict-limited, {} workers",
+            "{} docs, {} succeeded, {} workers",
             report.results.len(),
             report.succeeded(),
-            report.shed,
-            report.strict,
             args.jobs
         );
     }
@@ -370,12 +368,11 @@ fn run_batch_files_stored(
         }
         let _ = writeln!(
             out,
-            "{} docs, {} succeeded, {} cache hits, {} misses, {} shed, {} workers; store {} ({} docs)",
+            "{} docs, {} succeeded, {} cache hits, {} misses, {} workers; store {} ({} docs)",
             report.results.len(),
             report.results.iter().filter(|r| r.outcome.is_ok()).count(),
             report.hits,
             report.misses,
-            report.shed,
             args.jobs,
             store_path,
             store.len()

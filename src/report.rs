@@ -3,9 +3,9 @@
 //! `rbd batch --json` is consumed by scripts, so its per-document entries
 //! are built here — as [`Json`](rbd_json::Json) values with a tested
 //! contract — instead of ad-hoc `format!` strings in the binary. The key
-//! robustness property: a document that *panicked* or was *shed* inside
-//! the pipeline produces a typed `"error"` object naming the failure kind,
-//! not a bare string a consumer has to pattern-match.
+//! robustness property: a document that *panicked* inside the pipeline
+//! produces a typed `"error"` object naming the failure kind, not a bare
+//! string a consumer has to pattern-match.
 
 use rbd_core::Extraction;
 use rbd_json::Json;
@@ -15,9 +15,8 @@ use rbd_pipeline::{BatchError, CachedResult};
 /// success, `{"file", "error": {"kind", "message", …}}` on failure.
 ///
 /// Error kinds are `"discovery"` (the extractor ran and failed, same as a
-/// serial run), `"shed"` (dropped by the load-shedding policy before it
-/// ran; carries `watermark` and `depth`), and `"panic"` (the extraction
-/// panicked; the pool isolated it and the batch carried on).
+/// serial run) and `"panic"` (the extraction panicked; the pool isolated
+/// it and the batch carried on).
 pub fn batch_entry_json(file: &str, outcome: &Result<Extraction, BatchError>) -> Json {
     match outcome {
         Ok(extraction) => Json::object([
@@ -65,12 +64,6 @@ fn batch_error_json(error: &BatchError) -> Json {
             ("kind", Json::Str("discovery".to_string())),
             ("message", Json::Str(e.to_string())),
         ]),
-        BatchError::Shed { watermark, depth } => Json::object([
-            ("kind", Json::Str("shed".to_string())),
-            ("message", Json::Str(error.to_string())),
-            ("watermark", Json::UInt(*watermark as u64)),
-            ("depth", Json::UInt(*depth as u64)),
-        ]),
         BatchError::Panicked(message) => Json::object([
             ("kind", Json::Str("panic".to_string())),
             ("message", Json::Str(message.clone())),
@@ -90,27 +83,6 @@ mod tests {
         assert_eq!(
             entry.to_string(),
             r#"{"file":"docs/a.html","error":{"kind":"panic","message":"index out of bounds"}}"#
-        );
-    }
-
-    #[test]
-    fn shed_doc_carries_watermark_and_depth() {
-        let outcome: Result<Extraction, BatchError> = Err(BatchError::Shed {
-            watermark: 32,
-            depth: 40,
-        });
-        let entry = batch_entry_json("b.html", &outcome);
-        assert_eq!(
-            entry.get("error").and_then(|e| e.get("kind")),
-            Some(&Json::Str("shed".into()))
-        );
-        assert_eq!(
-            entry.get("error").and_then(|e| e.get("watermark")),
-            Some(&Json::UInt(32))
-        );
-        assert_eq!(
-            entry.get("error").and_then(|e| e.get("depth")),
-            Some(&Json::UInt(40))
         );
     }
 

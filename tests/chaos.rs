@@ -104,9 +104,6 @@ fn limits_cap_for(kind: LimitKind) -> Option<usize> {
         LimitKind::CandidateTags => l.max_candidate_tags,
         LimitKind::TextBytes => l.max_text_bytes,
         LimitKind::WallClock => l.time_budget.map(|d| d.as_millis().try_into().unwrap_or(0)),
-        // Queue depth is a batch-pipeline admission limit; a single
-        // governed extraction can never trip it.
-        LimitKind::QueueDepth => None,
     }
 }
 
@@ -172,10 +169,8 @@ fn threaded_batch_arm_matches_the_serial_sweep() {
         .expect("four workers is a valid batch config");
 
     // Clean drain: one result per document, ids contiguous after the sort
-    // — nothing lost, nothing duplicated, nothing shed.
+    // — nothing lost, nothing duplicated.
     assert_eq!(report.results.len(), total);
-    assert_eq!(report.shed, 0);
-    assert_eq!(report.strict, 0);
     let ids: Vec<u64> = report.results.iter().map(|r| r.doc_id).collect();
     let expected: Vec<u64> = (0..u64::try_from(total).expect("small corpus")).collect();
     assert_eq!(ids, expected, "batch lost or duplicated documents");

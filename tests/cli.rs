@@ -259,6 +259,24 @@ fn batch_json_reports_typed_error_entries() {
         "{stdout}"
     );
     assert!(stdout.contains("document contains no tags"), "{stdout}");
+
+    // The plain-text run ends with the summary line.
+    let (stdout, stderr, ok) = run_with_stdin(
+        &[
+            "batch",
+            good.to_str().expect("utf-8 path"),
+            bad.to_str().expect("utf-8 path"),
+            "--jobs",
+            "2",
+        ],
+        "",
+    );
+    assert!(ok, "stderr: {stderr}");
+    assert_eq!(
+        stdout.lines().last(),
+        Some("2 docs, 1 succeeded, 2 workers"),
+        "{stdout}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
