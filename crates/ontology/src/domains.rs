@@ -259,6 +259,8 @@ pub fn to_dsl(o: &Ontology) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::tests::count;
+    use crate::rules::MatchKind::{Constant, Keyword};
 
     #[test]
     fn all_domains_validate_and_compile() {
@@ -291,10 +293,10 @@ mod tests {
         let text = "Lemar K. Adamson died on September 30, 1998. \
                     Our beloved Brian Fielding Frost, age 41, passed away on September 30, 1998. \
                     Leonard Kenneth Gunther passed away on September 30, 1998.";
-        assert_eq!(rules.count_occurrences("DeathDate", text), 3);
+        assert_eq!(count(&rules, "DeathDate", Keyword, text), 3);
         // DeceasedName is value-identified: the proper-name pattern hits
         // each of the three names.
-        assert_eq!(rules.count_occurrences("DeceasedName", text), 3);
+        assert_eq!(count(&rules, "DeceasedName", Constant, text), 3);
     }
 
     #[test]
@@ -302,11 +304,11 @@ mod tests {
         let o = car_ads();
         let rules = o.matching_rules().unwrap();
         let ad = "1995 Ford Taurus, white, AC, auto, 62,000 miles, $6,500 obo, call (801) 555-1234";
-        assert_eq!(rules.count_occurrences("Year", ad), 1);
-        assert_eq!(rules.count_occurrences("Make", ad), 1);
-        assert_eq!(rules.count_occurrences("Model", ad), 1);
-        assert!(rules.count_occurrences("Price", ad) >= 1);
-        assert_eq!(rules.count_occurrences("Phone", ad), 1);
+        assert_eq!(count(&rules, "Year", Constant, ad), 1);
+        assert_eq!(count(&rules, "Make", Constant, ad), 1);
+        assert_eq!(count(&rules, "Model", Constant, ad), 1);
+        assert!(count(&rules, "Price", Keyword, ad) >= 1);
+        assert_eq!(count(&rules, "Phone", Keyword, ad), 1);
     }
 
     #[test]
@@ -315,10 +317,10 @@ mod tests {
         let rules = o.matching_rules().unwrap();
         let ad = "Software Engineer. DataTech Inc, Provo. 3+ years experience with C++ and SQL. \
                   Salary $55,000/yr DOE. Send resume to jobs@datatech.com";
-        assert_eq!(rules.count_occurrences("JobTitle", ad), 1);
-        assert_eq!(rules.count_occurrences("Company", ad), 1);
-        assert_eq!(rules.count_occurrences("ContactEmail", ad), 1);
-        assert!(rules.count_occurrences("Skill", ad) >= 2);
+        assert_eq!(count(&rules, "JobTitle", Constant, ad), 1);
+        assert_eq!(count(&rules, "Company", Constant, ad), 1);
+        assert_eq!(count(&rules, "ContactEmail", Constant, ad), 1);
+        assert!(count(&rules, "Skill", Constant, ad) >= 2);
     }
 
     #[test]
@@ -327,11 +329,11 @@ mod tests {
         let rules = o.matching_rules().unwrap();
         let c = "CS 452 Database Systems. 3 credit hours. Instructor: Dr. Embley. \
                  MWF 10:00. Room 1102. Prerequisite: CS 236.";
-        assert_eq!(rules.count_occurrences("CourseNumber", c), 2);
-        assert_eq!(rules.count_occurrences("CourseTitle", c), 1);
-        assert_eq!(rules.count_occurrences("Credits", c), 1);
-        assert!(rules.count_occurrences("Instructor", c) >= 1);
-        assert_eq!(rules.count_occurrences("Schedule", c), 1);
+        assert_eq!(count(&rules, "CourseNumber", Constant, c), 2);
+        assert_eq!(count(&rules, "CourseTitle", Constant, c), 1);
+        assert_eq!(count(&rules, "Credits", Keyword, c), 1);
+        assert!(count(&rules, "Instructor", Keyword, c) >= 1);
+        assert_eq!(count(&rules, "Schedule", Constant, c), 1);
     }
 
     #[test]

@@ -67,25 +67,6 @@ impl MatchingRules {
             .iter()
             .filter(move |r| r.object_set == object_set)
     }
-
-    /// Counts non-overlapping occurrences of any rule of `object_set` in
-    /// `text`, preferring keyword rules (per §4.5, keyword indicators are
-    /// better evidence than shared-type values). Occurrence counts from
-    /// multiple rules of the same kind are summed.
-    pub fn count_occurrences(&self, object_set: &str, text: &str) -> usize {
-        let keyword_total: usize = self
-            .rules_for(object_set)
-            .filter(|r| r.kind == MatchKind::Keyword)
-            .map(|r| r.pattern.count_matches(text))
-            .sum();
-        if keyword_total > 0 {
-            return keyword_total;
-        }
-        self.rules_for(object_set)
-            .filter(|r| r.kind == MatchKind::Constant)
-            .map(|r| r.pattern.count_matches(text))
-            .sum()
-    }
 }
 
 /// A record-identifying field chosen per §4.5, with the evidence kind the
@@ -178,9 +159,24 @@ pub fn om_field_budget(ontology: &Ontology, available: usize) -> Option<usize> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::model::{Ontology, ValueType};
+
+    /// Non-overlapping matches of `object_set`'s rules of one kind, summed —
+    /// what OM counts for a field.
+    pub(crate) fn count(
+        rules: &MatchingRules,
+        object_set: &str,
+        kind: MatchKind,
+        text: &str,
+    ) -> usize {
+        rules
+            .rules_for(object_set)
+            .filter(|r| r.kind == kind)
+            .map(|r| r.pattern.count_matches(text))
+            .sum()
+    }
 
     fn ontology() -> Ontology {
         Ontology::new("t", "E")
@@ -253,18 +249,22 @@ mod tests {
         let rules = o.matching_rules().unwrap();
         let text = "Ann Smith died on May 1, 1998. Bob Jones passed away May 2, 1998. \
                     Carl Young died on May 3, 1998.";
-        assert_eq!(rules.count_occurrences("DeathDate", text), 3);
+        assert_eq!(count(&rules, "DeathDate", MatchKind::Keyword, text), 3);
         // Name counts constants (no keywords defined).
-        assert!(rules.count_occurrences("Name", text) >= 3);
+        assert!(count(&rules, "Name", MatchKind::Constant, text) >= 3);
         // Unknown set: zero.
-        assert_eq!(rules.count_occurrences("Nope", text), 0);
+        assert_eq!(count(&rules, "Nope", MatchKind::Keyword, text), 0);
+        assert_eq!(count(&rules, "Nope", MatchKind::Constant, text), 0);
     }
 
     #[test]
     fn keyword_rules_are_case_insensitive() {
         let o = ontology();
         let rules = o.matching_rules().unwrap();
-        assert_eq!(rules.count_occurrences("DeathDate", "HE DIED ON MONDAY"), 1);
+        assert_eq!(
+            count(&rules, "DeathDate", MatchKind::Keyword, "HE DIED ON MONDAY"),
+            1
+        );
     }
 
     #[test]

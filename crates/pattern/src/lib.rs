@@ -14,6 +14,11 @@
 //! * a **Pike-style virtual machine** ([`vm`]) giving guaranteed
 //!   `O(len · program)` matching with *leftmost-longest* semantics — no
 //!   catastrophic backtracking regardless of the pattern.
+//! * a **determinized counter** behind [`Pattern::count_matches`], the only
+//!   call the OM heuristic makes: built on first use, it counts matches in
+//!   one table lookup per character. Programs that can match the empty
+//!   string or exceed a fixed state cap stay on the Pike VM, which is also
+//!   the counter's test oracle.
 //!
 //! ## Example
 //!
@@ -34,11 +39,13 @@
 #![warn(missing_docs)]
 
 pub mod ast;
+mod dfa;
 pub mod multi;
 pub mod program;
 pub mod vm;
 
 use std::fmt;
+use std::sync::OnceLock;
 
 pub use ast::{parse, Ast, ClassSet};
 pub use multi::{MultiMatch, MultiPattern};
@@ -92,6 +99,10 @@ impl std::error::Error for PatternError {}
 pub struct Pattern {
     program: Program,
     source: String,
+    /// The determinized counter behind [`Pattern::count_matches`], built on
+    /// first use; `None` when the program does not determinize. Boxed so
+    /// that an unused table costs a `Pattern` one pointer.
+    dfa: OnceLock<Option<Box<dfa::Dfa>>>,
 }
 
 impl Pattern {
@@ -111,6 +122,7 @@ impl Pattern {
         Ok(Pattern {
             program,
             source: pattern.to_owned(),
+            dfa: OnceLock::new(),
         })
     }
 
@@ -144,8 +156,27 @@ impl Pattern {
     }
 
     /// Number of non-overlapping matches — the count the OM heuristic needs.
+    /// Always equals `self.find_iter(haystack).count()`, but runs on a DFA
+    /// (built on the first call) when [`Pattern::counts_with_dfa`] holds.
     pub fn count_matches(&self, haystack: &str) -> usize {
-        self.find_iter(haystack).count()
+        match self.dfa() {
+            Some(dfa) => dfa.count(haystack),
+            None => self.find_iter(haystack).count(),
+        }
+    }
+
+    /// `true` if [`Pattern::count_matches`] runs on a DFA rather than the
+    /// Pike VM, building the DFA if this is the first use. It is `false`
+    /// for a pattern that can match the empty string or whose DFA would
+    /// exceed the state cap.
+    pub fn counts_with_dfa(&self) -> bool {
+        self.dfa().is_some()
+    }
+
+    fn dfa(&self) -> Option<&dfa::Dfa> {
+        self.dfa
+            .get_or_init(|| dfa::Dfa::build(&self.program).map(Box::new))
+            .as_deref()
     }
 }
 

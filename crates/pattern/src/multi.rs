@@ -125,6 +125,9 @@ impl MultiMatch {
 struct Scan {
     /// Dense thread list for the current position: `(pc, start_byte)`.
     threads: Vec<(usize, usize)>,
+    /// Spare buffer for the next position's thread list, empty between
+    /// steps.
+    next: Vec<(usize, usize)>,
     /// Dedup for the closure phase, keyed by `(pc, start)`: two threads at
     /// the same program counter with different starts must both live — the
     /// earlier one may be killed by the non-overlap rule after its match
@@ -148,6 +151,7 @@ impl Scan {
     fn new(prog_len: usize) -> Self {
         Scan {
             threads: Vec::new(),
+            next: Vec::new(),
             seen: DedupTable::new(prog_len),
             min_start: 0,
             candidates: std::collections::BTreeMap::new(),
@@ -182,6 +186,8 @@ struct DedupTable {
     generation: u32,
     marks: Vec<u32>,
     starts: Vec<Vec<usize>>,
+    /// Scratch stack for [`add_closure`]'s walk; empty between calls.
+    stack: Vec<usize>,
 }
 
 impl DedupTable {
@@ -190,6 +196,7 @@ impl DedupTable {
             generation: 0,
             marks: vec![0; len],
             starts: vec![Vec::new(); len],
+            stack: Vec::new(),
         }
     }
 
@@ -337,7 +344,7 @@ fn step_program(
         );
     }
 
-    let mut next: Vec<(usize, usize)> = Vec::new();
+    let mut next = std::mem::take(&mut scan.next);
     scan.seen.clear();
     let nctx = cur.map(|c| (byte + c.len_utf8(), hay_len, Some(c), lookahead));
 
@@ -377,6 +384,8 @@ fn step_program(
     }
 
     scan.threads = next;
+    current.clear();
+    scan.next = current;
     scan.resolve();
 }
 
@@ -397,20 +406,20 @@ fn add_closure(
         Assertion::WordBoundary => is_word(ctx.2) != is_word(ctx.3),
         Assertion::NotWordBoundary => is_word(ctx.2) == is_word(ctx.3),
     };
-    let mut stack = vec![pc];
-    while let Some(pc) = stack.pop() {
+    seen.stack.push(pc);
+    while let Some(pc) = seen.stack.pop() {
         if !seen.insert(pc, start) {
             continue;
         }
         match &prog.insts[pc] {
-            Inst::Jmp(t) => stack.push(*t),
+            Inst::Jmp(t) => seen.stack.push(*t),
             Inst::Split(a, b) => {
-                stack.push(*b);
-                stack.push(*a);
+                seen.stack.push(*b);
+                seen.stack.push(*a);
             }
             Inst::Assert(k) => {
                 if holds(*k) {
-                    stack.push(pc + 1);
+                    seen.stack.push(pc + 1);
                 }
             }
             _ => list.push((pc, start)),

@@ -20,6 +20,8 @@ struct ThreadList {
     dense: Vec<Thread>,
     mark: Vec<u32>,
     generation: u32,
+    /// Scratch stack for [`add_thread`]'s closure walk; empty between calls.
+    stack: Vec<usize>,
 }
 
 impl ThreadList {
@@ -28,6 +30,7 @@ impl ThreadList {
             dense: Vec::with_capacity(len),
             mark: vec![0; len],
             generation: 0,
+            stack: Vec::new(),
         }
     }
 
@@ -76,20 +79,20 @@ fn is_word(c: Option<char>) -> bool {
 fn add_thread(list: &mut ThreadList, prog: &Program, pc: usize, start: usize, ctx: Ctx) {
     // Explicit stack; `Split(a, b)` pushes `b` first so `a` pops (and is
     // therefore added) first, preserving thread priority.
-    let mut stack = vec![pc];
-    while let Some(pc) = stack.pop() {
+    list.stack.push(pc);
+    while let Some(pc) = list.stack.pop() {
         if list.seen(pc) {
             continue;
         }
         match &prog.insts[pc] {
-            Inst::Jmp(t) => stack.push(*t),
+            Inst::Jmp(t) => list.stack.push(*t),
             Inst::Split(a, b) => {
-                stack.push(*b);
-                stack.push(*a);
+                list.stack.push(*b);
+                list.stack.push(*a);
             }
             Inst::Assert(k) => {
                 if ctx.holds(*k) {
-                    stack.push(pc + 1);
+                    list.stack.push(pc + 1);
                 }
             }
             Inst::Char(_) | Inst::AnyChar | Inst::Class(_) | Inst::Match => {

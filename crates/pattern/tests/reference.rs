@@ -1,11 +1,12 @@
 //! Differential testing: the Pike VM against a naive backtracking reference
-//! interpreter over the same AST. On small random patterns and haystacks,
-//! `is_match` must agree exactly; leftmost-longest `find` spans are checked
-//! against the reference's exhaustive enumeration.
+//! interpreter over the same AST, and the DFA counter against the Pike VM.
+//! On small random patterns and haystacks, `is_match` must agree exactly;
+//! leftmost-longest `find` spans are checked against the reference's
+//! exhaustive enumeration; `count_matches` must equal `find_iter().count()`.
 
-use rbd_pattern::ast::{parse, Ast};
+use rbd_pattern::ast::{parse, Ast, ClassSet};
 use rbd_pattern::Pattern;
-use rbd_prop::{check_cases, gen, prop_assert, prop_assert_eq, prop_assume, shrink, Gen};
+use rbd_prop::{check_cases, gen, prop_assert_eq, prop_assume, shrink, Gen};
 
 /// Naive matcher: can `ast` match some prefix of `chars[pos..]`? Returns
 /// every end position (exhaustive, exponential — fine for tiny inputs).
@@ -127,6 +128,52 @@ fn match_ends(ast: &Ast, chars: &[char], pos: usize, total: usize) -> Vec<usize>
     }
 }
 
+/// The AST a case-insensitive compilation matches: ASCII letters become
+/// two-case classes and classes gain the other case, as `program::compile`
+/// folds them.
+fn fold_case(ast: &Ast) -> Ast {
+    match ast {
+        Ast::Literal(c) if c.is_ascii_alphabetic() => {
+            let mut set = ClassSet::new();
+            set.push_char(c.to_ascii_lowercase());
+            set.push_char(c.to_ascii_uppercase());
+            Ast::Class(set)
+        }
+        Ast::Class(set) => {
+            let mut set = set.clone();
+            set.case_fold();
+            Ast::Class(set)
+        }
+        Ast::Concat(items) => Ast::Concat(items.iter().map(fold_case).collect()),
+        Ast::Alternate(arms) => Ast::Alternate(arms.iter().map(fold_case).collect()),
+        Ast::Repeat {
+            inner,
+            min,
+            max,
+            greedy,
+        } => Ast::Repeat {
+            inner: Box::new(fold_case(inner)),
+            min: *min,
+            max: *max,
+            greedy: *greedy,
+        },
+        other => other.clone(),
+    }
+}
+
+/// Compiles `pattern` with the engine, and parses the AST the reference
+/// should run for it; `None` for a pattern shrinking left invalid.
+fn compile_both(pattern: &str, ci: bool) -> Option<(Pattern, Ast)> {
+    let ast = parse(pattern).ok()?;
+    let engine = if ci {
+        Pattern::case_insensitive(pattern)
+    } else {
+        Pattern::new(pattern)
+    }
+    .expect("parsed patterns compile");
+    Some((engine, if ci { fold_case(&ast) } else { ast }))
+}
+
 /// Reference leftmost-longest search.
 fn reference_find(ast: &Ast, haystack: &str) -> Option<(usize, usize)> {
     let chars: Vec<char> = haystack.chars().collect();
@@ -148,23 +195,25 @@ fn reference_find(ast: &Ast, haystack: &str) -> Option<(usize, usize)> {
     None
 }
 
-/// A small pattern grammar that stays within the reference matcher's reach.
+/// A small pattern grammar that stays within the reference matcher's reach:
+/// literals (one non-ASCII), classes, anchors, word boundaries, and greedy
+/// and lazy quantifiers.
 ///
 /// Shrinking removes characters from the rendered pattern, which can leave
 /// an invalid pattern (e.g. a leading quantifier) — the properties guard
 /// with `prop_assume!` so such candidates are skipped, not failed.
 fn arb_pattern() -> Gen<String> {
     let atom = Gen::one_of(vec![
-        Gen::select(vec!["a", "b", "c", "x", "."]).map(String::from),
-        Gen::just("[ab]".to_owned()),
-        Gen::just("[^a]".to_owned()),
-        Gen::just(r"\d".to_owned()),
-        Gen::just(r"\w".to_owned()),
+        Gen::select(vec!["a", "b", "c", "x", "A", "é", "."]).map(String::from),
+        Gen::select(vec!["[ab]", "[^a]", "[a-cé]", r"\d", r"\w", r"\s"]).map(String::from),
     ]);
     let unit = atom
-        .zip(Gen::select(vec!["", "*", "+", "?", "{2}", "{1,3}"]))
+        .zip(Gen::select(vec![
+            "", "", "*", "+", "?", "{2}", "{1,3}", "*?", "+?", "??",
+        ]))
         .map(|(a, q)| format!("{a}{q}"));
-    gen::concat(unit, 1..=4)
+    let anchor = Gen::select(vec!["^", "$", r"\b", r"\B"]).map(String::from);
+    gen::concat(Gen::weighted(vec![(4, unit), (1, anchor)]), 1..=4)
 }
 
 fn arb_alt_pattern() -> Gen<String> {
@@ -180,27 +229,31 @@ fn arb_alt_pattern() -> Gen<String> {
         .with_shrink(|s: &String| shrink::string(s))
 }
 
+/// Whether to compile case-insensitively; shrinks toward case-sensitive.
+fn arb_ci() -> Gen<bool> {
+    Gen::select(vec![false, true])
+}
+
 fn haystack_gen(max: usize) -> Gen<String> {
-    gen::string_from("abcx01 ", 0..=max)
+    gen::string_from("abcxAB01 _é\u{a0}\n", 0..=max)
 }
 
 #[test]
 fn is_match_agrees_with_reference() {
-    let inputs = arb_alt_pattern().zip(haystack_gen(10));
+    let inputs = gen::zip3(arb_alt_pattern(), haystack_gen(10), arb_ci());
     check_cases(
         "is_match_agrees_with_reference",
         256,
         &inputs,
-        |(pattern, haystack)| {
-            let parsed = parse(pattern);
-            prop_assume!(parsed.is_ok()); // shrunk patterns may be invalid
-            let ast = parsed.expect("checked");
-            let engine = Pattern::new(pattern).expect("parsed patterns compile");
+        |(pattern, haystack, ci)| {
+            let both = compile_both(pattern, *ci);
+            prop_assume!(both.is_some()); // shrunk patterns may be invalid
+            let (engine, ast) = both.expect("checked");
             let expected = reference_find(&ast, haystack).is_some();
             prop_assert_eq!(
                 engine.is_match(haystack),
                 expected,
-                "pattern {pattern} on {haystack:?}"
+                "pattern {pattern} (ci {ci}) on {haystack:?}"
             );
             Ok(())
         },
@@ -209,38 +262,64 @@ fn is_match_agrees_with_reference() {
 
 #[test]
 fn find_span_agrees_with_reference() {
-    let inputs = arb_pattern().zip(haystack_gen(10));
+    let inputs = gen::zip3(arb_pattern(), haystack_gen(10), arb_ci());
     check_cases(
         "find_span_agrees_with_reference",
         256,
         &inputs,
-        |(pattern, haystack)| {
-            let parsed = parse(pattern);
-            prop_assume!(parsed.is_ok());
-            let ast = parsed.expect("checked");
-            let engine = Pattern::new(pattern).expect("parsed patterns compile");
+        |(pattern, haystack, ci)| {
+            let both = compile_both(pattern, *ci);
+            prop_assume!(both.is_some());
+            let (engine, ast) = both.expect("checked");
             let expected = reference_find(&ast, haystack);
             let got = engine.find(haystack).map(|m| (m.start, m.end));
-            prop_assert_eq!(got, expected, "pattern {pattern} on {haystack:?}");
+            prop_assert_eq!(got, expected, "pattern {pattern} (ci {ci}) on {haystack:?}");
             Ok(())
         },
     );
 }
 
-#[test]
-fn count_matches_terminates_and_is_bounded() {
-    let inputs = arb_pattern().zip(haystack_gen(24));
-    check_cases(
-        "count_matches_terminates_and_is_bounded",
-        256,
-        &inputs,
-        |(pattern, haystack)| {
-            prop_assume!(parse(pattern).is_ok());
-            let engine = Pattern::new(pattern).expect("parsed patterns compile");
-            let n = engine.count_matches(haystack);
-            // At most one match can start per character position plus the end.
-            prop_assert!(n <= haystack.chars().count() + 1);
-            Ok(())
-        },
+/// `count_matches` runs on the DFA wherever the pattern determinizes; the
+/// Pike VM behind `find_iter` is its oracle.
+fn count_agrees_with_vm(pattern: &str, haystack: &str, ci: bool) -> Result<(), String> {
+    let both = compile_both(pattern, ci);
+    prop_assume!(both.is_some());
+    let (engine, _) = both.expect("checked");
+    prop_assert_eq!(
+        engine.count_matches(haystack),
+        engine.find_iter(haystack).count(),
+        "pattern {pattern} (ci {ci}, dfa {}) on {haystack:?}",
+        engine.counts_with_dfa()
     );
+    Ok(())
+}
+
+#[test]
+fn count_matches_equals_find_iter_count() {
+    let inputs = gen::zip3(arb_alt_pattern(), haystack_gen(24), arb_ci());
+    check_cases(
+        "count_matches_equals_find_iter_count",
+        2048,
+        &inputs,
+        |(pattern, haystack, ci)| count_agrees_with_vm(pattern, haystack, *ci),
+    );
+}
+
+/// A set-based DFA sees one match `abcd`-wide; the VM's leftmost-longest
+/// iteration finds `ab`, then `c`.
+#[test]
+fn regression_count_keeps_thread_priority() {
+    assert!(Pattern::new("ab|bcd|c").unwrap().counts_with_dfa());
+    assert_eq!(Pattern::new("ab|bcd|c").unwrap().count_matches("abcd"), 2);
+    count_agrees_with_vm("ab|bcd|c", "abcd", false).unwrap();
+}
+
+/// A `\b` after a run of chars that start nothing: a scan that skips such
+/// chars must still know the previous char's word class.
+#[test]
+fn regression_count_word_boundary_after_idle_run() {
+    let p = Pattern::new(r"[ab]?\b[ab]+").unwrap();
+    assert!(p.counts_with_dfa());
+    assert_eq!(p.count_matches("Aac\naB"), 1);
+    count_agrees_with_vm(r"[ab]?\b[ab]+", "Aac\naB", false).unwrap();
 }

@@ -1,0 +1,122 @@
+//! OM counts record-identifying fields with `Pattern::count_matches`, which
+//! runs on a DFA when the rule determinizes and on the Pike VM otherwise.
+//! Every shipped rule OM may count must take the DFA, so a pattern edit
+//! cannot silently send OM back to the slow path, and the DFA's counts must
+//! equal the VM's on the view text OM actually scans.
+
+use rbd::heuristics::view::DEFAULT_CANDIDATE_THRESHOLD;
+use rbd::heuristics::SubtreeView;
+use rbd::ontology::rules::MatchKind;
+use rbd::ontology::{domains, parse_ontology, Ontology};
+use rbd::tagtree::TagTreeBuilder;
+use rbd_corpus::{generate_document, sites, Domain};
+
+fn ontology_for(domain: Domain) -> Ontology {
+    match domain {
+        Domain::Obituaries => domains::obituaries(),
+        Domain::CarAds => domains::car_ads(),
+        Domain::JobAds => domains::job_ads(),
+        Domain::Courses => domains::courses(),
+    }
+}
+
+/// The built-in ontologies, then every `ontologies/*.ont` file.
+fn shipped_ontologies() -> Vec<Ontology> {
+    let mut all = domains::all();
+    let mut files: Vec<_> = std::fs::read_dir("ontologies")
+        .expect("ontologies/")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ont"))
+        .collect();
+    files.sort();
+    for path in files {
+        let src = std::fs::read_to_string(&path).expect("readable .ont");
+        all.push(parse_ontology(&src).unwrap_or_else(|e| panic!("{}: {e:?}", path.display())));
+    }
+    all
+}
+
+/// `(object set, rule source, pattern)` for every rule OM may count: the
+/// rules of each record-identifying field, of the evidence kind chosen
+/// for it.
+fn om_rules(ontology: &Ontology) -> Vec<(String, String, rbd::pattern::Pattern)> {
+    let rules = ontology.matching_rules().expect("rules compile");
+    let mut out = Vec::new();
+    for field in ontology.record_identifying_fields() {
+        let kind = if field.via_keywords {
+            MatchKind::Keyword
+        } else {
+            MatchKind::Constant
+        };
+        for rule in rules.rules_for(&field.object_set.name) {
+            if rule.kind == kind {
+                out.push((
+                    rule.object_set.clone(),
+                    rule.pattern.as_str().to_owned(),
+                    rule.pattern.clone(),
+                ));
+            }
+        }
+    }
+    out
+}
+
+/// The view text OM scans for each initial and test site of `domain`.
+fn view_texts(domain: Domain, seed: u64) -> Vec<String> {
+    sites::initial_sites(domain)
+        .iter()
+        .chain(&sites::test_sites(domain))
+        .map(|style| {
+            let doc = generate_document(style, domain, 0, seed);
+            let tree = TagTreeBuilder::default().build(&doc.html);
+            SubtreeView::from_tree(&tree, DEFAULT_CANDIDATE_THRESHOLD)
+                .text()
+                .to_owned()
+        })
+        .collect()
+}
+
+#[test]
+fn every_om_rule_determinizes() {
+    let mut checked = 0;
+    for ontology in shipped_ontologies() {
+        for (set, source, pattern) in om_rules(&ontology) {
+            assert!(
+                pattern.counts_with_dfa(),
+                "{}: {set} rule {source:?} stays on the Pike VM",
+                ontology.name
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked >= 3 * 9, "only {checked} OM rules found");
+}
+
+#[test]
+fn dfa_counts_equal_vm_counts_on_corpus_views() {
+    let ontologies = shipped_ontologies();
+    for seed in [rbd_eval::DEFAULT_SEED, rbd_eval::DEFAULT_SEED + 1] {
+        for domain in Domain::ALL {
+            let name = ontology_for(domain).name;
+            let texts = view_texts(domain, seed);
+            // The domain's own ontology, built in and from its file, plus
+            // ontologies with no corpus domain (the rental example).
+            let builtin: Vec<String> = domains::all().into_iter().map(|o| o.name).collect();
+            for ontology in ontologies
+                .iter()
+                .filter(|o| o.name == name || !builtin.contains(&o.name))
+            {
+                for (set, source, pattern) in om_rules(ontology) {
+                    for text in &texts {
+                        assert_eq!(
+                            pattern.count_matches(text),
+                            pattern.find_iter(text).count(),
+                            "{} {set} rule {source:?}, {domain} seed {seed}",
+                            ontology.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
