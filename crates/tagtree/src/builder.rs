@@ -159,6 +159,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::tree::FlatEvent;
     use rbd_prop::{check, gen, prop_assert, prop_assert_eq, Gen};
 
     /// A small grammar of messy HTML fragments.
@@ -215,6 +216,50 @@ mod proptests {
             let tree = TagTreeBuilder::new().build(src);
             let tokens = rbd_html::tokenize(src);
             prop_assert_eq!(tree.subtree_text(tree.root()), tokens.plain_text());
+            Ok(())
+        });
+    }
+
+    /// The arena invariant chunking and the heuristic view rely on: every
+    /// node's subtree text is the one arena slice `[inner.start,
+    /// trailing.start)` (to the arena's end for the root), equal to the
+    /// text `flatten` yields; and node spans never run backwards in
+    /// preorder.
+    #[test]
+    fn subtree_text_is_one_arena_slice() {
+        check("subtree_text_is_one_arena_slice", &arb_fragment(), |src| {
+            let tree = TagTreeBuilder::new().build(src);
+            let arena = tree.plain_text().len();
+            let mut last_start = 0;
+            for id in tree.ids() {
+                let joined: String = tree
+                    .flatten(id)
+                    .iter()
+                    .filter_map(|ev| match ev {
+                        FlatEvent::Text { text } => Some(*text),
+                        FlatEvent::Tag { .. } => None,
+                    })
+                    .collect();
+                prop_assert_eq!(tree.subtree_text(id), joined);
+                let node = tree.node(id);
+                prop_assert!(
+                    last_start <= node.inner.start,
+                    "{id} starts at {} before its predecessor's {last_start}",
+                    node.inner.start
+                );
+                prop_assert!(node.inner.start <= node.inner.end);
+                if id != tree.root() {
+                    prop_assert!(
+                        node.inner.end <= node.trailing.start
+                            && node.trailing.start <= node.trailing.end
+                            && node.trailing.end <= arena,
+                        "{id}: inner {} trailing {} arena {arena}",
+                        node.inner,
+                        node.trailing
+                    );
+                }
+                last_start = node.inner.start;
+            }
             Ok(())
         });
     }

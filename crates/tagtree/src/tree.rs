@@ -4,6 +4,14 @@
 //! interned [`Sym`]s resolved against the tree's [`SymbolTable`], and all
 //! inner/trailing text lives in one shared `String` arena that nodes
 //! reference by byte span — a node carries no heap strings of its own.
+//!
+//! The arena holds the document's plain text in document order, and every
+//! node's spans are positioned even when empty: `inner` starts where the
+//! arena stood at the node's start tag, `trailing` where it stood at its
+//! end tag. A subtree's text is therefore one arena slice,
+//! `[inner.start, trailing.start)`, and so is the text of any run of
+//! sibling subtrees — which is how records are chunked and the heuristic
+//! view is built without copying text.
 
 use crate::event::Event;
 use rbd_html::{Span, Sym, SymbolTable};
@@ -100,19 +108,21 @@ impl TreeBudget {
 /// One node of the tag tree: the paper's `[G, I, O]` triple plus structure.
 ///
 /// Text is stored as spans into the owning tree's shared text arena; use
-/// [`TagTree::inner_text`] / [`TagTree::trailing_text`] to read it, and
+/// [`TagTree::inner_text`] / [`TagTree::trailing_text`] to read it,
+/// [`TagTree::subtree_text_span`] to address the whole subtree's text, and
 /// [`TagTree::name`] to resolve the interned tag name.
 #[derive(Debug, Clone)]
 pub struct Node {
     /// Start-tag name `G`, interned (the synthetic root is named `#root`).
     pub name: Sym,
     /// Inner text `I` as a span of the tree's text arena: plain text between
-    /// the start-tag and the next tag.
+    /// the start-tag and the next tag. Starts at the arena offset of the
+    /// start-tag, even when empty.
     pub(crate) inner: Span,
     /// Trailing text `O` as a span of the tree's text arena: plain text
     /// between this node's end-tag and the next tag. Belongs to the parent's
     /// region but is recorded on this node, exactly as the paper's node form
-    /// specifies.
+    /// specifies. Starts at the arena offset of the end-tag, even when empty.
     pub(crate) trailing: Span,
     /// Children in document order.
     pub children: Vec<NodeId>,
@@ -144,13 +154,14 @@ pub struct CandidateTag {
 }
 
 /// One element of a flattened subtree view, in document order. The five
-/// heuristics consume this instead of re-walking the tree.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FlatEvent {
+/// heuristics consume this instead of re-walking the tree. Names and text
+/// borrow from the tree, so flattening allocates nothing per event.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FlatEvent<'t> {
     /// A start-tag occurrence.
     Tag {
         /// Tag name.
-        name: String,
+        name: &'t str,
         /// Depth below the flattened subtree's root (children = 1).
         depth: usize,
         /// Source byte offset of the start tag (used to chunk records).
@@ -159,11 +170,11 @@ pub enum FlatEvent {
     /// A run of plain text.
     Text {
         /// The text content.
-        text: String,
+        text: &'t str,
     },
 }
 
-impl FlatEvent {
+impl FlatEvent<'_> {
     /// `true` if this is a text event consisting only of whitespace.
     pub fn is_whitespace(&self) -> bool {
         matches!(self, FlatEvent::Text { text } if text.chars().all(char::is_whitespace))
@@ -245,6 +256,26 @@ impl TagTree {
     /// next tag, entities decoded.
     pub fn trailing_text(&self, id: NodeId) -> &str {
         self.node(id).trailing.slice(&self.text)
+    }
+
+    /// Arena span of the subtree text of `id`: every inner and trailing run
+    /// of its descendants plus its own inner text, in document order (its
+    /// own trailing text belongs to its parent). The root's runs to the end
+    /// of the arena.
+    pub fn subtree_text_span(&self, id: NodeId) -> Span {
+        let node = self.node(id);
+        let end = if id == NodeId::ROOT {
+            self.text.len()
+        } else {
+            node.trailing.start
+        };
+        Span::new(node.inner.start, end)
+    }
+
+    /// The whole text arena: the document's plain text, entities decoded,
+    /// in document order. [`TagTree::subtree_text_span`] indexes into it.
+    pub fn plain_text(&self) -> &str {
+        &self.text
     }
 
     /// The synthetic root (named `#root`); its children are the document's
@@ -376,7 +407,7 @@ impl TagTree {
     /// every descendant start-tag plus every run of plain text (inner and
     /// trailing). The subtree root's own tag is *not* included; its inner
     /// text is.
-    pub fn flatten(&self, id: NodeId) -> Vec<FlatEvent> {
+    pub fn flatten(&self, id: NodeId) -> Vec<FlatEvent<'_>> {
         // Explicit-stack walk: tag + inner text on entry, trailing text on
         // exit. Depth is bounded by the source, not the call stack, so a
         // deep-nesting tower cannot overflow here.
@@ -387,9 +418,7 @@ impl TagTree {
         let mut out = Vec::new();
         let root_inner = self.inner_text(id);
         if !root_inner.is_empty() {
-            out.push(FlatEvent::Text {
-                text: root_inner.to_owned(),
-            });
+            out.push(FlatEvent::Text { text: root_inner });
         }
         let mut stack: Vec<Walk> = self
             .node(id)
@@ -403,15 +432,13 @@ impl TagTree {
                 Walk::Enter(id, depth) => {
                     let node = self.node(id);
                     out.push(FlatEvent::Tag {
-                        name: self.symbols.resolve(node.name).to_owned(),
+                        name: self.symbols.resolve(node.name),
                         depth,
                         src_pos: node.start_tag.start,
                     });
                     let inner = self.inner_text(id);
                     if !inner.is_empty() {
-                        out.push(FlatEvent::Text {
-                            text: inner.to_owned(),
-                        });
+                        out.push(FlatEvent::Text { text: inner });
                     }
                     stack.push(Walk::Exit(id));
                     for &c in node.children.iter().rev() {
@@ -421,9 +448,7 @@ impl TagTree {
                 Walk::Exit(id) => {
                     let trailing = self.trailing_text(id);
                     if !trailing.is_empty() {
-                        out.push(FlatEvent::Text {
-                            text: trailing.to_owned(),
-                        });
+                        out.push(FlatEvent::Text { text: trailing });
                     }
                 }
             }
@@ -431,21 +456,15 @@ impl TagTree {
         out
     }
 
-    /// Concatenated plain text of the subtree rooted at `id`.
-    pub fn subtree_text(&self, id: NodeId) -> String {
-        let mut s = String::new();
-        for ev in self.flatten(id) {
-            if let FlatEvent::Text { text } = ev {
-                s.push_str(&text);
-            }
-        }
-        s
+    /// Concatenated plain text of the subtree rooted at `id`: a slice of
+    /// the arena, no copy.
+    pub fn subtree_text(&self, id: NodeId) -> &str {
+        self.subtree_text_span(id).slice(&self.text)
     }
 
-    /// Source byte offsets of the start-tags of every occurrence of `tag`
-    /// among the immediate children of `id`, in document order. These are
-    /// the record-boundary cut points.
-    pub fn child_tag_positions(&self, id: NodeId, tag: &str) -> Vec<usize> {
+    /// Every occurrence of `tag` among the immediate children of `id`, in
+    /// document order. These are the record-boundary cut points.
+    pub fn children_named(&self, id: NodeId, tag: &str) -> Vec<NodeId> {
         // A name nobody interned can't name any node.
         let Some(sym) = self.symbols.lookup(tag) else {
             return Vec::new();
@@ -453,9 +472,8 @@ impl TagTree {
         self.node(id)
             .children
             .iter()
-            .map(|&c| self.node(c))
-            .filter(|n| n.name == sym)
-            .map(|n| n.start_tag.start)
+            .copied()
+            .filter(|&c| self.node(c).name == sym)
             .collect()
     }
 
@@ -500,16 +518,13 @@ fn root_node(name: Sym, source_len: usize) -> Node {
 /// Extends a text-arena span over a freshly appended `[start, end)` chunk.
 ///
 /// Appends for one (node, inner/trailing) slot are always contiguous: the
-/// attach target changes only at Start/End events and never returns to an
-/// earlier slot (each Start and End occurs once in a balanced stream), so a
-/// non-empty span's `end` always equals the chunk's `start`.
+/// slot is opened, empty, at the arena's end by its Start/End event, and
+/// the attach target changes only at Start/End events and never returns to
+/// an earlier slot (each Start and End occurs once in a balanced stream),
+/// so the span's `end` always equals the chunk's `start`.
 fn extend_text_span(span: &mut Span, start: usize, end: usize) {
-    if span.is_empty() {
-        *span = Span::new(start, end);
-    } else {
-        debug_assert_eq!(span.end, start, "non-contiguous arena append");
-        *span = Span::new(span.start, end);
-    }
+    debug_assert_eq!(span.end, start, "non-contiguous arena append");
+    span.end = end;
 }
 
 /// Rebuilds a [`TagTree`] from normalized events, resolving names against
@@ -569,10 +584,12 @@ pub(crate) fn tree_from_events_budgeted(
                 }
                 let raw = u32::try_from(nodes.len()).map_err(|_| TreeError::TooManyNodes)?;
                 let id = NodeId(raw);
+                let here = Span::new(arena.len(), arena.len());
                 nodes.push(Node {
                     name: *name,
-                    inner: Span::new(0, 0),
-                    trailing: Span::new(0, 0),
+                    inner: here,
+                    // Positioned for real at the node's End event.
+                    trailing: here,
                     children: Vec::new(),
                     parent: Some(parent),
                     region: Span::new(src.start, src.end),
@@ -595,7 +612,10 @@ pub(crate) fn tree_from_events_budgeted(
                     return Err(TreeError::Unbalanced);
                 }
                 match nodes.get_mut(id.index()) {
-                    Some(n) => n.region = Span::new(n.region.start, src.end),
+                    Some(n) => {
+                        n.region = Span::new(n.region.start, src.end);
+                        n.trailing = Span::new(arena.len(), arena.len());
+                    }
                     None => return Err(TreeError::Unbalanced),
                 }
                 attach = Attach::Trailing(id);
@@ -712,24 +732,43 @@ mod tests {
         let mut tags = vec![];
         for ev in &flat {
             if let FlatEvent::Tag { name, depth, .. } = ev {
-                tags.push((name.as_str(), *depth));
+                tags.push((*name, *depth));
             }
         }
         assert_eq!(tags, vec![("p", 1), ("b", 2), ("hr", 1)]);
     }
 
     #[test]
-    fn child_tag_positions_are_cut_points() {
+    fn children_named_are_cut_points() {
         let src = "<td><hr>a<hr>b<hr>c</td>";
         let tree = build(src);
         let td = tree.ids().find(|&i| tree.name(i) == "td").unwrap();
-        let pos = tree.child_tag_positions(td, "hr");
-        assert_eq!(pos.len(), 3);
-        for &p in &pos {
+        let cuts = tree.children_named(td, "hr");
+        assert_eq!(cuts.len(), 3);
+        for &c in &cuts {
+            let p = tree.node(c).start_tag.start;
             assert_eq!(&src[p..p + 4], "<hr>");
         }
         // A tag name the document never used is no one's cut point.
-        assert!(tree.child_tag_positions(td, "blink").is_empty());
+        assert!(tree.children_named(td, "blink").is_empty());
+    }
+
+    #[test]
+    fn empty_spans_are_positioned_in_the_arena() {
+        // `b` has no inner text and `i` no trailing text, yet each span
+        // sits where the arena stood at its tag, so subtree text is one
+        // slice.
+        let tree = build("<td>x<b></b>y<p>z<i>w</i></p>v</td>");
+        let td = tree.node(tree.root()).children[0];
+        let b = tree.node(td).children[0];
+        let p = tree.node(td).children[1];
+        let i = tree.node(p).children[0];
+        assert_eq!(tree.subtree_text_span(b), super::Span::new(1, 1));
+        assert_eq!(tree.subtree_text(p), "zw");
+        assert_eq!(tree.subtree_text(i), "w");
+        assert_eq!(tree.node(i).trailing, super::Span::new(4, 4));
+        assert_eq!(tree.subtree_text(td), "xyzwv");
+        assert_eq!(tree.subtree_text(tree.root()), tree.plain_text());
     }
 
     #[test]
