@@ -135,9 +135,12 @@ impl Json {
         }
     }
 
-    /// Compact rendering (no whitespace). Equivalent to `to_string()`.
+    /// Compact rendering (no whitespace), written straight into one
+    /// `String`. `Display` (and so `to_string()`) renders the same bytes.
     pub fn to_compact(&self) -> String {
-        self.to_string()
+        let mut out = String::new();
+        push_compact(&mut out, self);
+        out
     }
 
     /// Pretty rendering with two-space indentation, one member per line —
@@ -519,7 +522,7 @@ fn push_float(out: &mut String, x: f64) {
 /// everything else — including non-ASCII — passes through as raw UTF-8
 /// (RFC 8259 §7 permits unescaped code points above U+001F other than
 /// `"` and `\`).
-pub fn push_escaped(out: &mut String, s: &str) {
+fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -542,9 +545,7 @@ pub fn push_escaped(out: &mut String, s: &str) {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        push_compact(&mut out, self);
-        f.write_str(&out)
+        f.write_str(&self.to_compact())
     }
 }
 

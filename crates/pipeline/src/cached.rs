@@ -1,9 +1,9 @@
 //! Store-backed batch extraction: the content-hash cache of DESIGN.md §14.
 //!
 //! [`run_batch_stored`] wraps [`run_batch`](crate::run_batch) with a
-//! persistent [`Store`]: every document's bytes are hashed (SHA-256)
-//! before any extraction work, documents whose hash is already committed
-//! in the store are served from disk without touching
+//! persistent [`Store`]: every document's bytes are hashed (a 256-bit
+//! fingerprint) before any extraction work, documents whose hash is
+//! already committed in the store are served from disk without touching
 //! tokenize → heuristics → recognize at all, and only the misses go
 //! through the worker pool. Fresh extractions are appended to the store
 //! in one crash-safe commit at the end of the run, so the next batch over
@@ -23,7 +23,7 @@
 //!   `store_docs_appended` land in the same metrics snapshot as the
 //!   pipeline counters.
 
-use crate::batch::{run_batch, BatchConfig, BatchError, BatchReport};
+use crate::batch::{run_batch, BatchConfig, BatchError};
 use crate::pool::PoolError;
 use rbd_core::RecordExtractor;
 use rbd_store::{ContentHash, Store, StoreError, StoredDoc};
@@ -57,7 +57,7 @@ impl CacheStatus {
 pub struct CachedResult {
     /// The caller-assigned document id (the sort key of the batch).
     pub doc_id: u64,
-    /// SHA-256 of the document bytes — the cache key.
+    /// The 256-bit fingerprint of the document bytes — the cache key.
     pub hash: ContentHash,
     /// Hit (served from the store) or miss (freshly extracted).
     pub cache: CacheStatus,
@@ -120,25 +120,23 @@ pub fn run_batch_stored(
     for (doc_id, source, html) in docs {
         let hash = ContentHash::of(html.as_bytes());
         let mut store_error = None;
-        if store.contains(&hash) {
-            match store.get(&hash) {
-                Ok(Some(stored)) => {
-                    results.push(CachedResult {
-                        doc_id,
-                        hash,
-                        cache: CacheStatus::Hit,
-                        outcome: Ok(stored),
-                        store_error: None,
-                    });
-                    continue;
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    // A committed frame failed to read back: degrade to a
-                    // miss and carry the typed error on the result.
-                    read_errors += 1;
-                    store_error = Some(e);
-                }
+        match store.get(&hash) {
+            Ok(Some(stored)) => {
+                results.push(CachedResult {
+                    doc_id,
+                    hash,
+                    cache: CacheStatus::Hit,
+                    outcome: Ok(stored),
+                    store_error: None,
+                });
+                continue;
+            }
+            Ok(None) => {}
+            Err(e) => {
+                // A committed frame failed to read back: degrade to a
+                // miss and carry the typed error on the result.
+                read_errors += 1;
+                store_error = Some(e);
             }
         }
         miss_meta.insert(doc_id, (hash, source, store_error));
@@ -147,24 +145,41 @@ pub fn run_batch_stored(
 
     let hits = results.len() as u64;
     let miss_count = misses.len() as u64;
-
-    let (miss_report, appended, write_error) = if misses.is_empty() {
-        (None, 0, None)
+    let (mut metrics, appended, write_error) = if misses.is_empty() {
+        let metrics = RegistrySnapshot {
+            counters: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+        };
+        (metrics, 0, None)
     } else {
         let report = run_batch(extractor, misses, config, sink)?;
-        let fresh: Vec<StoredDoc> = report
-            .results
-            .iter()
-            .filter_map(|r| {
-                let (hash, source, _) = miss_meta.get(&r.doc_id)?;
-                let extraction = r.outcome.as_ref().ok()?;
-                Some(StoredDoc::from_extraction(
-                    *hash,
-                    source.as_deref(),
-                    extraction,
-                ))
-            })
-            .collect();
+        // Each successful miss becomes one stored doc, committed from
+        // `fresh` and then moved into its result.
+        let mut fresh: Vec<StoredDoc> = Vec::new();
+        let mut fresh_meta: Vec<(u64, Option<StoreError>)> = Vec::new();
+        for r in report.results {
+            let (hash, source, store_error) =
+                miss_meta
+                    .remove(&r.doc_id)
+                    .unwrap_or((ContentHash::of(&[]), None, None));
+            match r.outcome {
+                Ok(extraction) => {
+                    fresh.push(StoredDoc::from_extraction(
+                        hash,
+                        source.as_deref(),
+                        &extraction,
+                    ));
+                    fresh_meta.push((r.doc_id, store_error));
+                }
+                Err(e) => results.push(CachedResult {
+                    doc_id: r.doc_id,
+                    hash,
+                    cache: CacheStatus::Miss,
+                    outcome: Err(e),
+                    store_error,
+                }),
+            }
+        }
         // One crash-safe commit for the whole run: a failure here loses
         // only the cache, never the extractions already in hand.
         let (appended, write_error) = if fresh.is_empty() {
@@ -175,36 +190,16 @@ pub fn run_batch_stored(
                 Err(e) => (0, Some(e)),
             }
         };
-        (Some(report), appended, write_error)
-    };
-
-    let mut metrics = match miss_report {
-        Some(BatchReport {
-            results: miss_results,
-            metrics,
-        }) => {
-            for r in miss_results {
-                let (hash, source, store_error) =
-                    miss_meta
-                        .remove(&r.doc_id)
-                        .unwrap_or((ContentHash::of(&[]), None, None));
-                let outcome = r.outcome.map(|extraction| {
-                    StoredDoc::from_extraction(hash, source.as_deref(), &extraction)
-                });
-                results.push(CachedResult {
-                    doc_id: r.doc_id,
-                    hash,
-                    cache: CacheStatus::Miss,
-                    outcome,
-                    store_error,
-                });
-            }
-            metrics
+        for ((doc_id, store_error), doc) in fresh_meta.into_iter().zip(fresh) {
+            results.push(CachedResult {
+                doc_id,
+                hash: doc.hash,
+                cache: CacheStatus::Miss,
+                outcome: Ok(doc),
+                store_error,
+            });
         }
-        None => RegistrySnapshot {
-            counters: BTreeMap::new(),
-            histograms: BTreeMap::new(),
-        },
+        (report.metrics, appended, write_error)
     };
 
     metrics.counters.insert("store_cache_hits", hits);

@@ -101,9 +101,10 @@ pub struct ServeConfig {
     pub slow_threshold: Option<Duration>,
     /// When set, the persistent record store at this path backs
     /// `POST /extract` as a content-hash cache (DESIGN.md §14): a request
-    /// body whose SHA-256 is already committed is answered from disk
-    /// without running extraction, and fresh default-profile extractions
-    /// are committed back. Responses carry `x-rbd-cache: hit|miss`.
+    /// body whose 256-bit fingerprint is already committed is answered
+    /// from the store without running extraction, and fresh
+    /// default-profile extractions are committed back. Responses carry
+    /// `x-rbd-cache: hit|miss`.
     pub store: Option<PathBuf>,
 }
 
@@ -827,7 +828,7 @@ fn route(ctx: &Ctx, rt: &RequestTrace, request: &Request) -> Response {
         ("GET", "/metrics.json") => Response::json(200, "OK", metrics_json(ctx)),
         ("POST", "/shutdown") => {
             ctx.shutdown.store(true, Ordering::SeqCst);
-            let body = Json::object([("status", Json::Str("draining".to_string()))]).to_string();
+            let body = Json::object([("status", Json::Str("draining".to_string()))]).to_compact();
             Response::json(200, "OK", body)
         }
         (_method, "/extract" | "/healthz" | "/metrics" | "/metrics.json" | "/shutdown") => {
@@ -908,8 +909,11 @@ fn extract(ctx: &Ctx, rt: &RequestTrace, request: &Request) -> Response {
         }
         Ok(Ok(extraction)) => {
             ctx.metrics.add("serve_requests_ok", 1);
-            let response =
-                Response::json(200, "OK", extraction_response_json(&extraction).to_string());
+            let response = Response::json(
+                200,
+                "OK",
+                extraction_response_json(&extraction).to_compact(),
+            );
             if cacheable {
                 store_insert(ctx, html, &extraction);
                 response.with_header("x-rbd-cache", "miss".to_string())
@@ -932,23 +936,19 @@ fn store_lookup(ctx: &Ctx, rt: &RequestTrace, html: &str) -> Option<String> {
     let started = Instant::now();
     let started_us = unix_micros();
     let hash = ContentHash::of(html.as_bytes());
-    let looked_up = {
-        // The hit layer memoizes the parsed doc and serialized response,
-        // so the steady-state critical section is one map lookup.
-        let mut guard = store.lock().unwrap_or_else(PoisonError::into_inner);
-        if guard.contains(&hash) {
-            Some(guard.hit(&hash))
-        } else {
-            None
-        }
-    };
-    let hit = matches!(&looked_up, Some(Ok(Some(_))));
+    // The hit layer memoizes the serialized response, so the steady-state
+    // critical section is one map lookup.
+    let looked_up = store
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .hit(&hash);
+    let hit = matches!(&looked_up, Ok(Some(_)));
     rt.event(TraceEvent::Server(ServerEvent::CacheLookup {
         hash: hash.to_hex(),
         hit,
     }));
     match looked_up {
-        Some(Ok(Some(stored))) => {
+        Ok(Some(stored)) => {
             ctx.metrics.add("store_cache_hits", 1);
             let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             rt.span(SpanRecord {
@@ -961,12 +961,12 @@ fn store_lookup(ctx: &Ctx, rt: &RequestTrace, html: &str) -> Option<String> {
             });
             Some(stored.response.clone())
         }
-        Some(Err(_)) => {
+        Err(_) => {
             ctx.metrics.add("store_read_errors", 1);
             ctx.metrics.add("store_cache_misses", 1);
             None
         }
-        Some(Ok(None)) | None => {
+        Ok(None) => {
             ctx.metrics.add("store_cache_misses", 1);
             None
         }

@@ -121,8 +121,8 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::doc::StoredRecord;
     use crate::hash::ContentHash;
+    use rbd_core::Record;
     use rbd_db::{join, Predicate};
 
     fn docs() -> Vec<StoredDoc> {
@@ -134,12 +134,12 @@ mod tests {
                 subtree_tag: "td".to_owned(),
                 preamble: None,
                 records: vec![
-                    StoredRecord {
+                    Record {
                         start: 0,
                         end: 5,
                         text: "Ann".to_owned(),
                     },
-                    StoredRecord {
+                    Record {
                         start: 5,
                         end: 9,
                         text: "Bob".to_owned(),
@@ -153,7 +153,7 @@ mod tests {
                 separator: "li".to_owned(),
                 subtree_tag: "ul".to_owned(),
                 preamble: None,
-                records: vec![StoredRecord {
+                records: vec![Record {
                     start: 0,
                     end: 3,
                     text: "Cy".to_owned(),

@@ -18,8 +18,8 @@
 //!   re-submitting an unchanged page skips tokenize → heuristics →
 //!   recognize entirely and serves the stored extraction —
 //!   byte-identical to a fresh one. [`Store::hit`] layers a bounded
-//!   in-memory memo of parsed documents and serialized responses over
-//!   the log, so steady-state hits cost a hash plus a map lookup.
+//!   in-memory memo of serialized responses over the log, so
+//!   steady-state hits cost a hash plus a map lookup.
 //! * **A relational view**: [`Store::load_database`] materializes the
 //!   committed documents into the existing `rbd-db` storage API, so the
 //!   query layer (and the `rbd query` CLI) runs unchanged over a durable
@@ -28,7 +28,8 @@
 //! ## Example
 //!
 //! ```
-//! use rbd_store::{ContentHash, Store, StoredDoc, StoredRecord};
+//! use rbd_core::Record;
+//! use rbd_store::{ContentHash, Store, StoredDoc};
 //!
 //! let path = std::env::temp_dir().join(format!("rbd-store-doc-{}.rbd", std::process::id()));
 //! std::fs::remove_file(&path).ok();
@@ -39,7 +40,7 @@
 //!     separator: "hr".into(),
 //!     subtree_tag: "td".into(),
 //!     preamble: None,
-//!     records: vec![StoredRecord { start: 0, end: 16, text: "one record".into() }],
+//!     records: vec![Record { start: 0, end: 16, text: "one record".into() }],
 //!     degraded: 0,
 //! };
 //! store.append_batch(std::slice::from_ref(&doc)).unwrap();
@@ -57,6 +58,6 @@ pub mod hash;
 pub mod log;
 
 pub use db::{database_from_docs, store_scheme, DOCS_RELATION, TEXTS_RELATION};
-pub use doc::{extraction_response_json, StoredDoc, StoredRecord};
-pub use hash::{crc32, fingerprint256, sha256, ContentHash};
+pub use doc::{extraction_response_json, StoredDoc};
+pub use hash::{crc32, fingerprint256, ContentHash};
 pub use log::{HitEntry, Store, StoreError, MAGIC, VERSION};

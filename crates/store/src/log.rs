@@ -133,12 +133,10 @@ impl StoreError {
     }
 }
 
-/// A fully materialized cache hit: the parsed document plus its canonical
+/// A fully materialized cache hit: the committed document's canonical
 /// serve-response bytes, built once per document and then shared.
 #[derive(Debug)]
 pub struct HitEntry {
-    /// The committed document.
-    pub doc: StoredDoc,
     /// The canonical response JSON (`StoredDoc::response_json`) serialized
     /// once, so repeat hits serve bytes without re-serializing.
     pub response: String,
@@ -157,8 +155,8 @@ pub struct Store {
     committed_len: u64,
     /// Committed document count (matches the last commit frame's body).
     docs: u64,
-    /// The in-memory hit layer: parsed + serialized entries memoized on
-    /// first [`Store::hit`], bounded by [`MAX_RESIDENT_BYTES`]. Purely a
+    /// The in-memory hit layer: serialized responses memoized on first
+    /// [`Store::hit`], bounded by [`MAX_RESIDENT_BYTES`]. Purely a
     /// read cache over the log — never consulted by recovery, never
     /// written to disk.
     resident: HashMap<ContentHash, Arc<HitEntry>>,
@@ -265,11 +263,12 @@ impl Store {
         Ok(Some(doc))
     }
 
-    /// Fetches a committed document through the in-memory hit layer: the
-    /// first hit per document pays one [`Store::get`] (read + checksum +
-    /// parse) plus one response serialization; every later hit is a map
-    /// lookup returning the same shared entry. This is the steady-state
-    /// cache-hit path `rbd serve --store` answers from.
+    /// Fetches a committed document's response through the in-memory hit
+    /// layer: the first hit per document pays one [`Store::get`] (read +
+    /// checksum + parse) plus one response serialization; every later hit
+    /// is a map lookup returning the same shared entry. An absent hash is
+    /// `Ok(None)`. This is the steady-state cache-hit path
+    /// `rbd serve --store` answers from.
     ///
     /// # Errors
     ///
@@ -281,15 +280,14 @@ impl Store {
         let Some(doc) = self.get(hash)? else {
             return Ok(None);
         };
-        let response = doc.response_json().to_string();
-        // Entry cost ≈ response bytes twice (the parsed doc's strings are
-        // roughly the response body) plus map overhead.
-        let cost = response.len() * 2 + 256;
+        let response = doc.response_json().to_compact();
+        // Entry cost ≈ response bytes plus map overhead.
+        let cost = response.len() + 256;
         if self.resident_bytes.saturating_add(cost) > MAX_RESIDENT_BYTES {
             self.resident.clear();
             self.resident_bytes = 0;
         }
-        let entry = Arc::new(HitEntry { doc, response });
+        let entry = Arc::new(HitEntry { response });
         self.resident.insert(*hash, Arc::clone(&entry));
         self.resident_bytes += cost;
         Ok(Some(entry))
@@ -558,7 +556,7 @@ fn push_frame(buf: &mut Vec<u8>, payload: &[u8]) -> Result<(), StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::doc::StoredRecord;
+    use rbd_core::Record;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("rbd-store-unit-{}", std::process::id()));
@@ -573,7 +571,7 @@ mod tests {
             separator: "hr".to_owned(),
             subtree_tag: "td".to_owned(),
             preamble: None,
-            records: vec![StoredRecord {
+            records: vec![Record {
                 start: 0,
                 end: 40,
                 text: format!("record for {seed}"),
@@ -764,8 +762,7 @@ mod tests {
             .expect("read")
             .is_none());
         let first = store.hit(&d.hash).expect("read").expect("present");
-        assert_eq!(first.doc, d);
-        assert_eq!(first.response, d.response_json().to_string());
+        assert_eq!(first.response, d.response_json().to_compact());
         // Second hit returns the same shared entry, no re-parse.
         let second = store.hit(&d.hash).expect("read").expect("present");
         assert!(Arc::ptr_eq(&first, &second));

@@ -24,6 +24,7 @@ use rbd::core::{check_assumptions, ExtractorConfig, RecordExtractor};
 use rbd::db::InstanceGenerator;
 use rbd::ontology::{domains, parse_ontology, Ontology};
 use rbd::recognizer::Recognizer;
+use rbd::store::extraction_response_json;
 use rbd::tagtree::TagTreeBuilder;
 use rbd::trace::{CollectingSink, NullSink, TraceSink};
 use rbd_json::Json;
@@ -571,17 +572,8 @@ fn run() -> Result<(), String> {
                 .extract_records_traced(&html, trace_sink)
                 .map_err(|e| e.to_string())?;
             if args.json {
-                let records = extraction.records.iter().map(|r| {
-                    Json::object([
-                        ("start", Json::UInt(r.start as u64)),
-                        ("end", Json::UInt(r.end as u64)),
-                        ("text", Json::Str(r.text.clone())),
-                    ])
-                });
-                let json = Json::object([
-                    ("separator", Json::Str(extraction.outcome.separator.clone())),
-                    ("records", Json::array(records)),
-                ]);
+                // The same bytes `rbd serve` answers `POST /extract` with.
+                let json = extraction_response_json(&extraction).to_compact();
                 let _ = writeln!(out, "{json}");
             } else {
                 for (i, r) in extraction.records.iter().enumerate() {

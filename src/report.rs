@@ -88,8 +88,9 @@ mod tests {
 
     #[test]
     fn cached_entry_carries_cache_field_and_typed_store_error() {
+        use rbd_core::Record;
         use rbd_pipeline::CacheStatus;
-        use rbd_store::{ContentHash, StoreError, StoredDoc, StoredRecord};
+        use rbd_store::{ContentHash, StoreError, StoredDoc};
         let hash = ContentHash::of(b"<html>doc</html>");
         let stored = StoredDoc {
             hash,
@@ -97,7 +98,7 @@ mod tests {
             separator: "hr".to_string(),
             subtree_tag: "td".to_string(),
             preamble: None,
-            records: vec![StoredRecord {
+            records: vec![Record {
                 start: 0,
                 end: 4,
                 text: "text".to_string(),

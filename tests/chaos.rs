@@ -305,7 +305,8 @@ fn expired_deadline_stops_within_one_unit_of_work() {
 /// store job uploads it as an artifact).
 #[test]
 fn store_survives_truncation_at_every_byte_of_the_last_frame() {
-    use rbd::store::{ContentHash, Store, StoredDoc, StoredRecord};
+    use rbd::core::Record;
+    use rbd::store::{ContentHash, Store, StoredDoc};
 
     fn make_doc(n: u64) -> StoredDoc {
         let body = format!("chaos-store-doc-{n}");
@@ -315,9 +316,9 @@ fn store_survives_truncation_at_every_byte_of_the_last_frame() {
             separator: "hr".to_string(),
             subtree_tag: "td".to_string(),
             preamble: None,
-            records: vec![StoredRecord {
+            records: vec![Record {
                 start: 0,
-                end: u64::try_from(body.len()).expect("small doc"),
+                end: body.len(),
                 text: body,
             }],
             degraded: 0,

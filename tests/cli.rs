@@ -2,6 +2,7 @@
 //! binary the way a user would.
 
 use rbd::core::RecordExtractor;
+use rbd::store::extraction_response_json;
 use rbd_json::Json;
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -81,6 +82,11 @@ fn extract_json_escapes_record_text() {
     assert!(ok, "stderr: {stderr}");
     let json = Json::parse(stdout.trim()).unwrap_or_else(|e| panic!("{e}: {stdout}"));
     let expected = RecordExtractor::default().extract_records(page).unwrap();
+    // Byte for byte the body `rbd serve` answers `POST /extract` with.
+    assert_eq!(
+        stdout.trim(),
+        extraction_response_json(&expected).to_compact()
+    );
     assert_eq!(
         json.get("separator").and_then(Json::as_str),
         Some(expected.outcome.separator.as_str())
