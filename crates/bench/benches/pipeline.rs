@@ -88,14 +88,6 @@ fn bench_integration_ablation(h: &mut Harness) {
             black_box(integrated.record_tables())
         });
     });
-    // The one-pass recognizer vs per-rule scanning, same text.
-    let text = rbd_html::tokenize(&doc.html).plain_text();
-    group.bench_function("recognize_one_pass", |b| {
-        b.iter(|| black_box(recognizer.recognize(black_box(&text))));
-    });
-    group.bench_function("recognize_per_rule", |b| {
-        b.iter(|| black_box(recognizer.recognize_separately(black_box(&text))));
-    });
     group.finish();
 }
 

@@ -13,7 +13,10 @@
 //! * a **Thompson NFA compiler** ([`program`]);
 //! * a **Pike-style virtual machine** ([`vm`]) giving guaranteed
 //!   `O(len · program)` matching with *leftmost-longest* semantics — no
-//!   catastrophic backtracking regardless of the pattern.
+//!   catastrophic backtracking regardless of the pattern. While no thread
+//!   is live it skips the characters no match can begin with, so the
+//!   recognizer's per-rule `find_iter` scans cost little where a rule has
+//!   nothing to match;
 //! * a **determinized counter** behind [`Pattern::count_matches`], the only
 //!   call the OM heuristic makes: built on first use, it counts matches in
 //!   one table lookup per character. Programs that can match the empty
@@ -40,7 +43,6 @@
 
 pub mod ast;
 mod dfa;
-pub mod multi;
 pub mod program;
 pub mod vm;
 
@@ -48,7 +50,6 @@ use std::fmt;
 use std::sync::OnceLock;
 
 pub use ast::{parse, Ast, ClassSet};
-pub use multi::{MultiMatch, MultiPattern};
 pub use program::{compile, Inst, Program};
 
 /// A successful match: byte offsets into the haystack.

@@ -1,5 +1,7 @@
 //! Thompson NFA compilation.
 
+use std::sync::OnceLock;
+
 use crate::ast::{Ast, ClassSet};
 
 /// One NFA instruction. Program counters are indices into
@@ -44,6 +46,9 @@ pub struct Program {
     pub case_insensitive: bool,
     /// `true` if the pattern starts with `^` (enables a search fast path).
     pub anchored_start: bool,
+    /// The characters a match can begin with, built on the first VM search
+    /// (see [`Program::first_chars`]).
+    first_chars: OnceLock<FirstChars>,
 }
 
 impl Program {
@@ -56,6 +61,83 @@ impl Program {
     /// even `""` compiles to a `Match`).
     pub fn is_empty(&self) -> bool {
         self.insts.is_empty()
+    }
+
+    /// The characters a match can begin with, built on first use: the VM
+    /// skips the others while no thread is live.
+    pub(crate) fn first_chars(&self) -> &FirstChars {
+        self.first_chars.get_or_init(|| FirstChars::of(self))
+    }
+}
+
+/// Conservative approximation of the characters a program can begin with.
+#[derive(Debug, Clone)]
+pub(crate) struct FirstChars {
+    /// ASCII bitmap: bit `b` is set when byte `b` may begin a match.
+    ascii: u128,
+    /// `true` if any non-ASCII character may begin a match, or the pattern
+    /// can match without consuming (then nothing may be skipped).
+    any: bool,
+}
+
+impl FirstChars {
+    fn of(prog: &Program) -> Self {
+        let mut fc = FirstChars {
+            ascii: 0,
+            any: false,
+        };
+        // Closure from pc 0 ignoring assertions (conservative: an assertion
+        // is treated as passable).
+        let mut seen = vec![false; prog.len()];
+        let mut stack = vec![0usize];
+        while let Some(pc) = stack.pop() {
+            if seen[pc] {
+                continue;
+            }
+            seen[pc] = true;
+            match &prog.insts[pc] {
+                Inst::Jmp(t) => stack.push(*t),
+                Inst::Split(a, b) => {
+                    stack.push(*a);
+                    stack.push(*b);
+                }
+                Inst::Assert(_) => stack.push(pc + 1),
+                Inst::Char(c) => {
+                    if c.is_ascii() {
+                        fc.ascii |= 1 << *c as u32;
+                    } else {
+                        fc.any = true;
+                    }
+                }
+                Inst::Class(set) => {
+                    for b in 0u8..128 {
+                        if set.contains(char::from(b)) {
+                            fc.ascii |= 1 << b;
+                        }
+                    }
+                    // Negated or wide classes may admit non-ASCII.
+                    if set.negated || set.ranges.iter().any(|&(_, hi)| !hi.is_ascii()) {
+                        fc.any = true;
+                    }
+                }
+                Inst::AnyChar => fc.any = true,
+                // The program can match empty: never skip.
+                Inst::Match => fc.any = true,
+            }
+        }
+        fc
+    }
+
+    /// Length in bytes of the longest prefix of `rest` whose characters
+    /// cannot begin a match. When only ASCII characters can, a match
+    /// begins at an admitted ASCII byte, so the scan runs over bytes.
+    pub(crate) fn skippable(&self, rest: &str) -> usize {
+        if self.any {
+            return 0;
+        }
+        rest.bytes()
+            .position(|b| b.is_ascii() && self.ascii >> b & 1 == 1)
+            .unwrap_or(rest.len())
     }
 }
 
@@ -73,6 +155,7 @@ pub fn compile(ast: &Ast, case_insensitive: bool) -> Program {
         insts: c.insts,
         case_insensitive,
         anchored_start,
+        first_chars: OnceLock::new(),
     }
 }
 

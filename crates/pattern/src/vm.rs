@@ -124,12 +124,27 @@ pub fn search(prog: &Program, haystack: &str, from: usize) -> Option<Match> {
     nlist.clear();
 
     let mut best: Option<Match> = None;
-    let mut chars = haystack[from..].char_indices().peekable();
+    let mut chars = haystack[from..].chars().peekable();
     let mut prev = prev_of_from;
     let mut byte = from;
+    // A `^`-anchored program starts threads at one position only.
+    let first_chars = (!prog.anchored_start).then(|| prog.first_chars());
 
     loop {
-        let cur: Option<char> = chars.peek().map(|&(_, c)| c);
+        // With no thread live and no match pending, the next match can only
+        // begin at a character the program admits first: skip to it.
+        if let Some(fc) = first_chars.filter(|_| clist.dense.is_empty() && best.is_none()) {
+            let skip = fc.skippable(&haystack[byte..]);
+            if skip > 0 {
+                byte += skip;
+                prev = haystack[..byte].chars().next_back();
+                chars = haystack[byte..].chars().peekable();
+                // Dedup marks set by a closure at the position skipped from
+                // must not drop threads here.
+                clist.clear();
+            }
+        }
+        let cur: Option<char> = chars.peek().copied();
         // The character after `cur`, for the successor position's context.
         let lookahead: Option<char> =
             cur.and_then(|c| haystack[byte + c.len_utf8()..].chars().next());
@@ -203,7 +218,7 @@ pub fn search(prog: &Program, haystack: &str, from: usize) -> Option<Match> {
         // Advance one character.
         match chars.next() {
             None => break,
-            Some((_, c)) => {
+            Some(c) => {
                 prev = Some(c);
                 byte += c.len_utf8();
             }

@@ -1,8 +1,9 @@
 //! Differential testing: the Pike VM against a naive backtracking reference
 //! interpreter over the same AST, and the DFA counter against the Pike VM.
 //! On small random patterns and haystacks, `is_match` must agree exactly;
-//! leftmost-longest `find` spans are checked against the reference's
-//! exhaustive enumeration; `count_matches` must equal `find_iter().count()`.
+//! leftmost-longest `find` spans and the whole `find_iter` sequence are
+//! checked against the reference's exhaustive enumeration; `count_matches`
+//! must equal `find_iter().count()`.
 
 use rbd_pattern::ast::{parse, Ast, ClassSet};
 use rbd_pattern::Pattern;
@@ -63,8 +64,11 @@ fn match_ends(ast: &Ast, chars: &[char], pos: usize, total: usize) -> Vec<usize>
             inner, min, max, ..
         } => {
             // Breadth-first expansion with a visited set; greediness does
-            // not matter for the set of reachable ends.
-            let max = max.unwrap_or(u32::MAX).min(16);
+            // not matter for the set of reachable ends. Past `min`, an
+            // iteration that consumes nothing can be dropped from a path,
+            // so `min + total + 1` layers reach every end.
+            let layers = *min + u32::try_from(total + 1).expect("tiny haystacks");
+            let max = max.unwrap_or(u32::MAX).min(layers);
             let mut layer = vec![pos];
             let mut all: Vec<(u32, usize)> = vec![(0, pos)];
             for depth in 1..=max {
@@ -174,25 +178,47 @@ fn compile_both(pattern: &str, ci: bool) -> Option<(Pattern, Ast)> {
     Some((engine, if ci { fold_case(&ast) } else { ast }))
 }
 
-/// Reference leftmost-longest search.
-fn reference_find(ast: &Ast, haystack: &str) -> Option<(usize, usize)> {
-    let chars: Vec<char> = haystack.chars().collect();
-    // Char index → byte offset map.
+/// Byte offset of every char index of `chars`, plus the end.
+fn byte_offsets(chars: &[char]) -> Vec<usize> {
     let mut byte_of = Vec::with_capacity(chars.len() + 1);
     let mut b = 0;
-    for c in &chars {
+    for c in chars {
         byte_of.push(b);
         b += c.len_utf8();
     }
     byte_of.push(b);
+    byte_of
+}
 
-    for start in 0..=chars.len() {
-        let ends = match_ends(ast, &chars, start, chars.len());
-        if let Some(&best) = ends.iter().max() {
-            return Some((byte_of[start], byte_of[best]));
-        }
+/// Reference leftmost-longest search at or after char index `from`, in
+/// char indices; anchors and word boundaries see the whole haystack.
+fn reference_find_from(ast: &Ast, chars: &[char], from: usize) -> Option<(usize, usize)> {
+    (from..=chars.len()).find_map(|start| {
+        let ends = match_ends(ast, chars, start, chars.len());
+        ends.into_iter().max().map(|end| (start, end))
+    })
+}
+
+/// Reference leftmost-longest search.
+fn reference_find(ast: &Ast, haystack: &str) -> Option<(usize, usize)> {
+    let chars: Vec<char> = haystack.chars().collect();
+    let byte_of = byte_offsets(&chars);
+    reference_find_from(ast, &chars, 0).map(|(s, e)| (byte_of[s], byte_of[e]))
+}
+
+/// Reference non-overlapping iteration: repeated [`reference_find_from`]
+/// calls, resuming at each match's end, one char further after an empty
+/// match.
+fn reference_find_all(ast: &Ast, haystack: &str) -> Vec<(usize, usize)> {
+    let chars: Vec<char> = haystack.chars().collect();
+    let byte_of = byte_offsets(&chars);
+    let mut out = Vec::new();
+    let mut at = 0;
+    while let Some((s, e)) = reference_find_from(ast, &chars, at) {
+        out.push((byte_of[s], byte_of[e]));
+        at = if e > s { e } else { e + 1 };
     }
-    None
+    out
 }
 
 /// A small pattern grammar that stays within the reference matcher's reach:
@@ -238,6 +264,17 @@ fn haystack_gen(max: usize) -> Gen<String> {
     gen::string_from("abcxAB01 _é\u{a0}\n", 0..=max)
 }
 
+/// Haystacks of long runs of characters most patterns cannot begin with
+/// (word and non-word, ASCII and not, line breaks), between short pieces
+/// that do begin matches: the runs the Pike VM skips.
+fn run_haystack_gen() -> Gen<String> {
+    let run = Gen::select(vec!["z", "Z", "-", " ", "\n", "é", "\u{a0}"])
+        .zip(gen::int_in(1usize..=12))
+        .map(|(c, n)| c.repeat(n));
+    let piece = gen::string_from("abcxAB01 _é\u{a0}\n", 1..=3);
+    gen::concat(Gen::weighted(vec![(1, run), (1, piece)]), 0..=5)
+}
+
 #[test]
 fn is_match_agrees_with_reference() {
     let inputs = gen::zip3(arb_alt_pattern(), haystack_gen(10), arb_ci());
@@ -277,6 +314,56 @@ fn find_span_agrees_with_reference() {
             Ok(())
         },
     );
+}
+
+/// Every span `find_iter` yields equals the reference's repeated search.
+fn find_iter_agrees(pattern: &str, haystack: &str, ci: bool) -> Result<(), String> {
+    let both = compile_both(pattern, ci);
+    prop_assume!(both.is_some());
+    let (engine, ast) = both.expect("checked");
+    let got: Vec<(usize, usize)> = engine
+        .find_iter(haystack)
+        .map(|m| (m.start, m.end))
+        .collect();
+    prop_assert_eq!(
+        got,
+        reference_find_all(&ast, haystack),
+        "pattern {pattern} (ci {ci}) on {haystack:?}"
+    );
+    Ok(())
+}
+
+#[test]
+fn find_iter_agrees_with_reference() {
+    let inputs = gen::zip3(arb_pattern(), run_haystack_gen(), arb_ci());
+    check_cases(
+        "find_iter_agrees_with_reference",
+        512,
+        &inputs,
+        |(pattern, haystack, ci)| find_iter_agrees(pattern, haystack, *ci),
+    );
+}
+
+/// Word boundaries, `$` and case folding after runs no match can begin
+/// with: the VM skips each run and must still see its last char.
+#[test]
+fn find_iter_after_idle_runs() {
+    let hays = [
+        "zzzzzzzzab zzzz-----a",
+        "------aB---\n\n\nb",
+        "ééééééa éééb",
+        "ZZZZZZZZZZZZ\u{a0}\u{a0}ab",
+        "            \na",
+    ];
+    for pattern in [
+        r"\ba", r"\Ba", r"[ab]+\b", r"\B[ab]", r"a$", r"b$", r"[ab]\b.", r"A\b",
+    ] {
+        for hay in hays {
+            for ci in [false, true] {
+                find_iter_agrees(pattern, hay, ci).unwrap();
+            }
+        }
+    }
 }
 
 /// `count_matches` runs on the DFA wherever the pattern determinizes; the
@@ -322,4 +409,15 @@ fn regression_count_word_boundary_after_idle_run() {
     assert!(p.counts_with_dfa());
     assert_eq!(p.count_matches("Aac\naB"), 1);
     count_agrees_with_vm(r"[ab]?\b[ab]+", "Aac\naB", false).unwrap();
+}
+
+/// The VM skips `Aac\n` at the start (only `a` or `b` can begin a match)
+/// and must clear the closure marks left at position 0: `\b` holds before
+/// the second line's `a`, not after its `a`.
+#[test]
+fn regression_find_iter_word_boundary_after_idle_run() {
+    let p = Pattern::new(r"[ab]?\b[ab]+").unwrap();
+    let spans: Vec<(usize, usize)> = p.find_iter("Aac\naB").map(|m| (m.start, m.end)).collect();
+    assert_eq!(spans, [(4, 5)]);
+    find_iter_agrees(r"[ab]?\b[ab]+", "Aac\naB", false).unwrap();
 }

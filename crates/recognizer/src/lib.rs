@@ -9,6 +9,10 @@
 //! at no extra cost (§4.5: partitioning the table at separator positions
 //! yields per-record entry sets).
 //!
+//! Each rule's matches come from its own
+//! [`Pattern::find_iter`](rbd_pattern::Pattern::find_iter), on the Pike VM
+//! of `rbd-pattern`.
+//!
 //! ## Example
 //!
 //! ```
@@ -29,7 +33,7 @@
 use rbd_limits::{Deadline, LimitExceeded};
 use rbd_ontology::rules::om_field_budget;
 use rbd_ontology::{MatchKind, MatchingRules, Ontology};
-use rbd_pattern::{MultiPattern, PatternError};
+use rbd_pattern::PatternError;
 use std::fmt;
 
 /// One row of the Data-Record Table: `(descriptor, string, position)`.
@@ -54,7 +58,12 @@ pub struct DataRecordTable {
 impl DataRecordTable {
     /// Builds a table from entries, restoring the canonical order.
     pub fn from_entries(mut entries: Vec<TableEntry>) -> Self {
-        sort_entries(&mut entries);
+        entries.sort_by(|a, b| {
+            a.position
+                .cmp(&b.position)
+                .then_with(|| kind_order(a.kind).cmp(&kind_order(b.kind)))
+                .then_with(|| a.descriptor.cmp(&b.descriptor))
+        });
         DataRecordTable { entries }
     }
 
@@ -122,32 +131,20 @@ impl fmt::Display for DataRecordTable {
 
 /// The Constant/Keyword Recognizer, bound to one ontology's rules.
 ///
-/// Internally all rules are compiled into one [`MultiPattern`], so
-/// [`Recognizer::recognize`] makes a *single pass* over the text — the
-/// integration the paper's §4.5 cost argument assumes.
+/// Each rule runs its own [`Pattern::find_iter`](rbd_pattern::Pattern::find_iter);
+/// the Pike VM behind it skips the characters a rule cannot begin with, so
+/// a rule costs little where the text holds nothing it could match.
 #[derive(Debug, Clone)]
 pub struct Recognizer {
     rules: MatchingRules,
-    multi: MultiPattern,
 }
 
 impl Recognizer {
     /// Compiles `ontology`'s matching rules.
     pub fn new(ontology: &Ontology) -> Result<Self, PatternError> {
-        Self::from_rules(ontology.matching_rules()?)
-    }
-
-    /// Wraps precompiled rules.
-    pub fn from_rules(rules: MatchingRules) -> Result<Self, PatternError> {
-        // Keyword rules were compiled case-insensitively; mirror that when
-        // building the one-pass program set.
-        let multi = MultiPattern::new(
-            rules
-                .rules()
-                .iter()
-                .map(|r| (r.pattern.as_str(), r.kind == MatchKind::Keyword)),
-        )?;
-        Ok(Recognizer { rules, multi })
+        Ok(Recognizer {
+            rules: ontology.matching_rules()?,
+        })
     }
 
     /// The underlying rules.
@@ -155,40 +152,32 @@ impl Recognizer {
         &self.rules
     }
 
-    /// Runs every rule over `text` in one pass and assembles the
-    /// Data-Record Table.
+    /// Runs every rule over `text` and assembles the Data-Record Table.
     pub fn recognize(&self, text: &str) -> DataRecordTable {
-        let rule_list = self.rules.rules();
-        let mut entries: Vec<TableEntry> = self
-            .multi
-            .find_all(text)
-            .into_iter()
-            .map(|m| {
-                let rule = &rule_list[m.pattern];
-                TableEntry {
+        let mut entries = Vec::new();
+        for rule in self.rules.rules() {
+            for m in rule.pattern.find_iter(text) {
+                entries.push(TableEntry {
                     descriptor: rule.object_set.clone(),
                     kind: rule.kind,
                     value: m.as_str(text).to_owned(),
                     position: m.start,
-                }
-            })
-            .collect();
-        sort_entries(&mut entries);
-        DataRecordTable { entries }
+                });
+            }
+        }
+        DataRecordTable::from_entries(entries)
     }
 
     /// Governed form of [`Recognizer::recognize`], reporting to `sink`.
     ///
-    /// The one-pass scan is the recognizer's indivisible unit of work — the
-    /// lock-step multi-pattern engine cannot stop mid-pass without losing
-    /// boundary-spanning matches — so governance happens around it: the
-    /// deadline is checked *before* the scan (an expired budget skips it
-    /// entirely and yields an empty table), and `max_text_bytes` caps how
-    /// much text the one pass may cover (cut at a character boundary).
-    /// Either degradation is reported in the result, never silent; the
-    /// caller decides how to trace it.
+    /// Recognition is the recognizer's unit of work: the deadline is checked
+    /// *before* it (an expired budget skips every rule and yields an empty
+    /// table), never between rules, so a table is never missing one rule's
+    /// matches; `max_text_bytes` caps how much text the rules scan (cut at
+    /// a character boundary). Either degradation is reported in the
+    /// result, never silent; the caller decides how to trace it.
     ///
-    /// The pass is timed as a `"recognize"` span and — when the sink is
+    /// Recognition is timed as a `"recognize"` span and — when the sink is
     /// enabled — a [`Recognized`](rbd_trace::TraceEvent::Recognized) event
     /// records how many text bytes were actually scanned and how many
     /// table entries came out.
@@ -233,24 +222,6 @@ impl Recognizer {
         }
         governed
     }
-
-    /// Reference implementation: every rule's own engine, one scan per rule.
-    /// Kept for differential testing and the amortization benchmark.
-    pub fn recognize_separately(&self, text: &str) -> DataRecordTable {
-        let mut entries = Vec::new();
-        for rule in self.rules.rules() {
-            for m in rule.pattern.find_iter(text) {
-                entries.push(TableEntry {
-                    descriptor: rule.object_set.clone(),
-                    kind: rule.kind,
-                    value: m.as_str(text).to_owned(),
-                    position: m.start,
-                });
-            }
-        }
-        sort_entries(&mut entries);
-        DataRecordTable { entries }
-    }
 }
 
 /// The outcome of a governed recognition pass: the (possibly partial)
@@ -273,15 +244,6 @@ impl GovernedRecognition {
     pub fn is_complete(&self) -> bool {
         self.truncation.is_none() && self.skipped.is_none()
     }
-}
-
-fn sort_entries(entries: &mut [TableEntry]) {
-    entries.sort_by(|a, b| {
-        a.position
-            .cmp(&b.position)
-            .then_with(|| kind_order(a.kind).cmp(&kind_order(b.kind)))
-            .then_with(|| a.descriptor.cmp(&b.descriptor))
-    });
 }
 
 /// Estimates the number of records represented in a Data-Record Table —

@@ -141,8 +141,8 @@ impl StoredDoc {
     ///
     /// # Errors
     ///
-    /// `Err` with a description when the body is not valid JSON or is
-    /// missing a required member.
+    /// `Err` with a description when the body is not valid JSON, is
+    /// missing a required member, or holds a malformed one.
     pub fn parse_body(hash: ContentHash, body: &str) -> Result<Self, String> {
         let json = Json::parse(body).map_err(|e: ParseError| e.to_string())?;
         let field = |name: &str| -> Result<&Json, String> {
@@ -172,7 +172,7 @@ impl StoredDoc {
                 .to_owned(),
             preamble,
             records,
-            degraded: as_u64(field("degraded")?).unwrap_or(0),
+            degraded: as_u64(field("degraded")?).ok_or("malformed `degraded` count")?,
         })
     }
 }
@@ -276,8 +276,8 @@ mod tests {
         assert!(err.contains("missing"), "{err}");
     }
 
-    /// An offset that is negative or not a number is a malformed frame,
-    /// never a wrapped cast.
+    /// An offset or a degradation count that is negative or not a number
+    /// is a malformed frame, never a wrapped cast or a silent 0.
     #[test]
     fn parse_body_rejects_bad_offsets() {
         let body = sample().body_json().to_compact();
@@ -296,6 +296,13 @@ mod tests {
         let bad_preamble = body.replacen("{\"start\":0,", "{\"start\":-1,", 1);
         let err = StoredDoc::parse_body(ContentHash::of(b"x"), &bad_preamble).unwrap_err();
         assert!(err.contains("malformed preamble"), "{err}");
+        let good = "\"degraded\":1";
+        assert!(body.contains(good));
+        for bad in ["-1", "\"x\"", "1.5", "null"] {
+            let body = body.replacen(good, &format!("\"degraded\":{bad}"), 1);
+            let err = StoredDoc::parse_body(ContentHash::of(b"x"), &body).unwrap_err();
+            assert!(err.contains("malformed `degraded`"), "{bad}: {err}");
+        }
     }
 
     #[test]
