@@ -14,14 +14,14 @@ fn bench_table_2_3_calibration(h: &mut Harness) {
     group.sample_size(10);
     // Tables 2–4 come from one calibration pass over 100 documents.
     group.bench_function("table2_3_4_calibration", |b| {
-        b.iter(|| black_box(calibrate(&runner, DEFAULT_SEED)));
+        b.iter(|| black_box(calibrate(&runner, DEFAULT_SEED, 1)));
     });
     group.finish();
 }
 
 fn bench_table_5_sweep(h: &mut Harness) {
     let runner = HeuristicRunner::new().expect("ontologies compile");
-    let calibration = calibrate(&runner, DEFAULT_SEED);
+    let calibration = calibrate(&runner, DEFAULT_SEED, 1);
     let table = calibration.certainty_table();
     let mut group = h.group("tables");
     group.sample_size(10);
@@ -38,7 +38,7 @@ fn bench_table_6_to_10_test_sets(h: &mut Harness) {
     group.sample_size(10);
     group.bench_function("table6_to_10_test_sets", |b| {
         b.iter(|| {
-            let report = run_test_sets(&runner, &table, DEFAULT_SEED);
+            let report = run_test_sets(&runner, &table, DEFAULT_SEED, 1);
             assert!(report.compound_success >= 95.0, "headline must hold");
             black_box(report)
         });

@@ -13,7 +13,6 @@
 use rbd_bench::{black_box, Harness};
 use rbd_core::{ExtractorConfig, RecordExtractor};
 use rbd_corpus::{generate_document, sites, Domain};
-use rbd_ontology::domains;
 use rbd_tagtree::TagTreeBuilder;
 use rbd_trace::{CollectingSink, NullSink, TraceSink};
 use std::time::Instant;
@@ -35,20 +34,11 @@ fn corpus() -> Vec<String> {
         .collect()
 }
 
-fn ontology_for(domain: Domain) -> rbd_ontology::Ontology {
-    match domain {
-        Domain::Obituaries => domains::obituaries(),
-        Domain::CarAds => domains::car_ads(),
-        Domain::JobAds => domains::job_ads(),
-        Domain::Courses => domains::courses(),
-    }
-}
-
 fn extractors() -> Vec<RecordExtractor> {
     DOMAINS
         .iter()
         .map(|&domain| {
-            let config = ExtractorConfig::default().with_ontology(ontology_for(domain));
+            let config = ExtractorConfig::default().with_ontology(domain.ontology());
             RecordExtractor::new(config).expect("compiles")
         })
         .collect()

@@ -14,11 +14,9 @@
 //! * **content** (when an ontology is available): the OM record-count
 //!   estimate — a page about a single entity estimates ≈ 1.
 
-use crate::config::ExtractorConfig;
-use rbd_heuristics::om::OntologyMatching;
+use crate::extractor::{DiscoveryError, RecordExtractor};
 use rbd_heuristics::SubtreeView;
-use rbd_pattern::PatternError;
-use rbd_tagtree::TagTreeBuilder;
+use rbd_trace::NullSink;
 use std::fmt;
 
 /// Verdict on the paper's §1 assumptions for one document.
@@ -67,42 +65,44 @@ pub const MIN_LIST_FANOUT: usize = 4;
 /// OM estimates below this are treated as "about one entity".
 pub const MIN_RECORD_ESTIMATE: f64 = 1.5;
 
-/// Checks the paper's assumptions for `html` under `config`.
-///
-/// Structure alone can prove a *negative* (no repeated children → not a
-/// record list). Content evidence, when available, can also catch
-/// single-entity pages that happen to be structurally busy (navigation
-/// chrome, one long article).
-pub fn check_assumptions(
-    html: &str,
-    config: &ExtractorConfig,
-) -> Result<AssumptionReport, PatternError> {
-    let tree = TagTreeBuilder::default().build(html);
-    let view = SubtreeView::from_tree(&tree, config.candidate_threshold);
-    let max_fanout = tree.node(view.root()).fanout();
-    let candidate_count = view.candidates().len();
-    let subtree_text_len = view.text().chars().count();
+impl RecordExtractor {
+    /// Checks the paper's assumptions for `html` with the tree discovery
+    /// would build (HTML or XML mode, under the hard limits) and the
+    /// extractor's compiled ontology.
+    ///
+    /// Structure alone can prove a *negative* (no repeated children → not a
+    /// record list). Content evidence, when available, can also catch
+    /// single-entity pages that happen to be structurally busy (navigation
+    /// chrome, one long article).
+    ///
+    /// A document over a hard limit (input bytes, tree nodes, nesting
+    /// depth) is refused with [`DiscoveryError::Limit`], as discovery
+    /// refuses it.
+    pub fn check_assumptions(&self, html: &str) -> Result<AssumptionReport, DiscoveryError> {
+        let tree = self.build_tree(html, &NullSink)?;
+        let view = SubtreeView::from_tree(&tree, self.config().candidate_threshold);
+        let max_fanout = tree.node(view.root()).fanout();
+        let candidate_count = view.candidates().len();
+        let subtree_text_len = view.text().chars().count();
+        let estimated_records = self
+            .om
+            .as_ref()
+            .and_then(|om| om.estimate_record_count(view.text()));
 
-    let estimated_records = match &config.ontology {
-        Some(ontology) => {
-            OntologyMatching::new(ontology.clone())?.estimate_record_count(view.text())
-        }
-        None => None,
-    };
-
-    let class = classify(
-        max_fanout,
-        candidate_count,
-        estimated_records,
-        subtree_text_len,
-    );
-    Ok(AssumptionReport {
-        class,
-        max_fanout,
-        candidate_count,
-        estimated_records,
-        subtree_text_len,
-    })
+        let class = classify(
+            max_fanout,
+            candidate_count,
+            estimated_records,
+            subtree_text_len,
+        );
+        Ok(AssumptionReport {
+            class,
+            max_fanout,
+            candidate_count,
+            estimated_records,
+            subtree_text_len,
+        })
+    }
 }
 
 fn classify(
@@ -142,10 +142,12 @@ fn classify(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ExtractorConfig, LimitKind, Limits};
     use rbd_ontology::domains;
 
-    fn config() -> ExtractorConfig {
-        ExtractorConfig::default().with_ontology(domains::obituaries())
+    fn extractor() -> RecordExtractor {
+        RecordExtractor::new(ExtractorConfig::default().with_ontology(domains::obituaries()))
+            .unwrap()
     }
 
     fn multi_record_page() -> String {
@@ -165,7 +167,7 @@ mod tests {
 
     #[test]
     fn multi_record_page_passes() {
-        let report = check_assumptions(&multi_record_page(), &config()).unwrap();
+        let report = extractor().check_assumptions(&multi_record_page()).unwrap();
         assert_eq!(report.class, DocumentClass::MultipleRecords);
         assert!(report.max_fanout >= MIN_LIST_FANOUT);
         assert!(report.estimated_records.unwrap() >= 2.0);
@@ -178,7 +180,7 @@ mod tests {
              her family.</p><p>Funeral services will be held at 10:00 a.m.</p>\
              <p>Friends may call at the family home on Thursday evening.</p>\
              <p>Interment at Oak Hill Cemetery.</p></body></html>";
-        let report = check_assumptions(single, &config()).unwrap();
+        let report = extractor().check_assumptions(single).unwrap();
         assert_eq!(report.class, DocumentClass::SingleRecord);
         assert!(report.estimated_records.unwrap() < MIN_RECORD_ESTIMATE);
     }
@@ -188,24 +190,26 @@ mod tests {
         let off_topic = "<html><body><p>Welcome to our site.</p><p>Weather is fine.</p>\
              <p>Sports scores tonight.</p><p>Local news follows.</p>\
              <p>Community calendar below.</p></body></html>";
-        let report = check_assumptions(off_topic, &config()).unwrap();
+        let report = extractor().check_assumptions(off_topic).unwrap();
         assert_eq!(report.class, DocumentClass::NoRecords);
     }
 
     #[test]
     fn empty_and_flat_documents() {
-        let report = check_assumptions("", &config()).unwrap();
+        let report = extractor().check_assumptions("").unwrap();
         assert_eq!(report.class, DocumentClass::NoRecords);
 
         let flat = "<html><body>just one line of text</body></html>";
-        let report = check_assumptions(flat, &config()).unwrap();
+        let report = extractor().check_assumptions(flat).unwrap();
         // No ontology hits and no repeated structure.
         assert_ne!(report.class, DocumentClass::MultipleRecords);
     }
 
     #[test]
     fn structure_only_without_ontology() {
-        let report = check_assumptions(&multi_record_page(), &ExtractorConfig::default()).unwrap();
+        let report = RecordExtractor::default()
+            .check_assumptions(&multi_record_page())
+            .unwrap();
         assert_eq!(report.class, DocumentClass::MultipleRecords);
         assert_eq!(report.estimated_records, None);
     }
@@ -222,16 +226,28 @@ mod tests {
     #[test]
     fn corpus_documents_all_classify_as_multiple() {
         use rbd_corpus::{generate_document, sites, Domain};
-        let cfg = config();
+        let extractor = extractor();
         for style in sites::initial_sites(Domain::Obituaries) {
             let doc = generate_document(&style, Domain::Obituaries, 0, 1998);
-            let report = check_assumptions(&doc.html, &cfg).unwrap();
+            let report = extractor.check_assumptions(&doc.html).unwrap();
             assert_eq!(
                 report.class,
                 DocumentClass::MultipleRecords,
                 "{} misclassified: {report:?}",
                 style.site
             );
+        }
+    }
+
+    #[test]
+    fn check_refuses_input_over_the_hard_cap() {
+        let extractor =
+            RecordExtractor::new(ExtractorConfig::default().with_limits(Limits::strict())).unwrap();
+        let cap = Limits::strict().max_input_bytes.unwrap();
+        let page = multi_record_page().repeat(cap / multi_record_page().len() + 1);
+        match extractor.check_assumptions(&page) {
+            Err(DiscoveryError::Limit(e)) => assert_eq!(e.limit, LimitKind::InputBytes),
+            other => panic!("expected the input-bytes limit, got {other:?}"),
         }
     }
 }

@@ -200,7 +200,7 @@ pub struct Extraction {
 #[derive(Debug, Clone)]
 pub struct RecordExtractor {
     config: ExtractorConfig,
-    om: Option<OntologyMatching>,
+    pub(crate) om: Option<OntologyMatching>,
     compound: CompoundHeuristic,
 }
 
@@ -245,7 +245,11 @@ impl RecordExtractor {
     /// tokenize and tree-build stages. Hard limit breaches surface as
     /// [`DiscoveryError::Limit`]; the theoretical-only construction errors
     /// degrade to "no tags" exactly as the infallible builder did.
-    fn build_tree(&self, html: &str, sink: &dyn TraceSink) -> Result<TagTree, DiscoveryError> {
+    pub(crate) fn build_tree(
+        &self,
+        html: &str,
+        sink: &dyn TraceSink,
+    ) -> Result<TagTree, DiscoveryError> {
         match self
             .builder()
             .with_budget(self.config.limits.tree_budget())

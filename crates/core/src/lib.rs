@@ -45,7 +45,7 @@ pub mod extractor;
 pub mod integrated;
 pub mod limits;
 
-pub use assumptions::{check_assumptions, AssumptionReport, DocumentClass};
+pub use assumptions::{AssumptionReport, DocumentClass};
 pub use chunk::{chunk_at_separators, Record};
 pub use config::ExtractorConfig;
 pub use extractor::{DiscoveryError, DiscoveryOutcome, Extraction, RecordExtractor};

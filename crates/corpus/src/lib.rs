@@ -44,6 +44,7 @@ pub mod content;
 pub mod sites;
 pub mod style;
 
+use rbd_ontology::{domains, Ontology};
 use rbd_prop::Rng;
 use std::fmt;
 
@@ -70,6 +71,16 @@ impl Domain {
         Domain::JobAds,
         Domain::Courses,
     ];
+
+    /// The domain's built-in application ontology (`rbd_ontology::domains`).
+    pub fn ontology(self) -> Ontology {
+        match self {
+            Domain::Obituaries => domains::obituaries(),
+            Domain::CarAds => domains::car_ads(),
+            Domain::JobAds => domains::job_ads(),
+            Domain::Courses => domains::courses(),
+        }
+    }
 }
 
 impl fmt::Display for Domain {

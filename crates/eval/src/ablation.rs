@@ -7,11 +7,14 @@
 //! cost. Timing counterparts live in `rbd-bench`'s `ablations` bench.
 
 use rbd_certainty::{CertaintyTable, CompoundHeuristic, HeuristicSet};
+use rbd_core::{DiscoveryError, ExtractorConfig};
 use rbd_corpus::{test_corpus, Domain, GeneratedDoc};
-use rbd_heuristics::HeuristicKind;
-use rbd_heuristics::SubtreeView;
+use rbd_heuristics::om::OntologyMatching;
+use rbd_heuristics::{
+    ht::HighestCount, it::IdentifiableTags, rp::RepeatingPattern, sd::StandardDeviation, Heuristic,
+    HeuristicKind, SubtreeView,
+};
 use rbd_json::{Json, ToJson};
-use rbd_pattern::PatternError;
 use rbd_tagtree::TagTreeBuilder;
 use std::fmt;
 
@@ -40,119 +43,106 @@ pub struct AblationReport {
     pub leave_one_out: Vec<AblationPoint>,
 }
 
-fn test_documents(seed: u64) -> Vec<GeneratedDoc> {
-    Domain::ALL
+/// Runs all three ablations.
+pub fn run_ablations(table: &CertaintyTable, seed: u64) -> Result<AblationReport, DiscoveryError> {
+    let docs: Vec<GeneratedDoc> = Domain::ALL
         .into_iter()
         .flat_map(|d| test_corpus(d, seed))
-        .collect()
-}
+        .collect();
+    let score = |setting: &str, threshold: f64, subset: HeuristicSet| {
+        let config = ExtractorConfig::default()
+            .with_candidate_threshold(threshold)
+            .with_heuristics(subset)
+            .with_certainty_table(table.clone());
+        let runner = HeuristicRunner::with_config(&config)?;
+        Ok::<_, DiscoveryError>(extractor_point(setting.to_owned(), &runner, &docs))
+    };
 
-/// Runs all three ablations.
-pub fn run_ablations(
-    runner: &HeuristicRunner,
-    table: &CertaintyTable,
-    seed: u64,
-) -> Result<AblationReport, PatternError> {
-    let docs = test_documents(seed);
+    let threshold = [0.01, 0.05, 0.10, 0.20, 0.30]
+        .into_iter()
+        .map(|t| score(&format!("threshold {t:.2}"), t, HeuristicSet::ORSIH))
+        .collect::<Result<_, _>>()?;
+    let subtree = vec![
+        score("highest fan-out subtree (paper)", 0.10, HeuristicSet::ORSIH)?,
+        document_root_point(table, &docs)?,
+    ];
+    let mut leave_one_out = vec![score("ORSIH (paper)", 0.10, HeuristicSet::ORSIH)?];
+    for kind in HeuristicKind::ALL {
+        let subset = HeuristicSet::of(HeuristicKind::ALL.into_iter().filter(|k| *k != kind));
+        leave_one_out.push(score(&format!("{subset} (without {kind})"), 0.10, subset)?);
+    }
     Ok(AblationReport {
-        threshold: threshold_sweep(runner, table, &docs),
-        subtree: subtree_choice(runner, table, &docs),
-        leave_one_out: leave_one_out(runner, table, &docs),
+        threshold,
+        subtree,
+        leave_one_out,
     })
 }
 
-/// Evaluates accuracy for one (threshold, subtree-choice, subset) setting.
-fn evaluate(
+/// Scores one extractor setting: a document counts when discovery's
+/// consensus names its true separator as the unique winner.
+fn extractor_point(
+    setting: String,
     runner: &HeuristicRunner,
-    table: &CertaintyTable,
     docs: &[GeneratedDoc],
-    threshold: f64,
-    use_fanout: bool,
-    subset: HeuristicSet,
 ) -> AblationPoint {
-    let compound = CompoundHeuristic::new(subset, table.clone());
     let mut hits = 0usize;
     let mut candidates_total = 0usize;
     for doc in docs {
-        let tree = TagTreeBuilder::default().build(&doc.html);
-        let root = if use_fanout {
-            tree.highest_fanout()
-        } else {
-            // Ablated: the document root's first child (html) — the naive
-            // "records are at the top" assumption.
-            tree.root()
+        let Ok(outcome) = runner.extractor(doc.domain).discover(&doc.html) else {
+            continue;
         };
-        let view = SubtreeView::for_subtree(&tree, root, threshold);
-        candidates_total += view.candidates().len();
-
-        let om = runner.om(doc.domain);
-        let rankings = {
-            use rbd_heuristics::{
-                ht::HighestCount, it::IdentifiableTags, rp::RepeatingPattern,
-                sd::StandardDeviation, Heuristic,
-            };
-            let ht = HighestCount;
-            let it = IdentifiableTags::default();
-            let sd = StandardDeviation;
-            let rp = RepeatingPattern::default();
-            let hs: [&dyn Heuristic; 5] = [om, &rp, &sd, &it, &ht];
-            hs.iter().filter_map(|h| h.rank(&view)).collect::<Vec<_>>()
-        };
-        let consensus = compound.combine(&rankings);
-        if consensus.unique_winner() == Some(doc.truth.separator.as_str()) {
+        candidates_total += outcome.candidates.len();
+        if outcome.consensus.unique_winner() == Some(doc.truth.separator.as_str()) {
             hits += 1;
         }
     }
+    point(setting, hits, candidates_total, docs.len())
+}
+
+/// The ablated record-area choice: the view rooted at the document root —
+/// the naive "records are at the top" assumption. No extractor setting
+/// selects this subtree, so the view and the five heuristics are built
+/// here.
+fn document_root_point(
+    table: &CertaintyTable,
+    docs: &[GeneratedDoc],
+) -> Result<AblationPoint, DiscoveryError> {
+    let compound = CompoundHeuristic::new(HeuristicSet::ORSIH, table.clone());
+    let (ht, it, sd, rp) = (
+        HighestCount,
+        IdentifiableTags::default(),
+        StandardDeviation,
+        RepeatingPattern::default(),
+    );
+    let mut hits = 0usize;
+    let mut candidates_total = 0usize;
+    for domain in Domain::ALL {
+        let om = OntologyMatching::new(domain.ontology())?;
+        let heuristics: [&dyn Heuristic; 5] = [&om, &rp, &sd, &it, &ht];
+        for doc in docs.iter().filter(|d| d.domain == domain) {
+            let tree = TagTreeBuilder::default().build(&doc.html);
+            let view = SubtreeView::for_subtree(&tree, tree.root(), 0.10);
+            candidates_total += view.candidates().len();
+            let rankings: Vec<_> = heuristics.iter().filter_map(|h| h.rank(&view)).collect();
+            if compound.combine(&rankings).unique_winner() == Some(doc.truth.separator.as_str()) {
+                hits += 1;
+            }
+        }
+    }
+    Ok(point(
+        "document root (ablated)".to_owned(),
+        hits,
+        candidates_total,
+        docs.len(),
+    ))
+}
+
+fn point(setting: String, hits: usize, candidates_total: usize, docs: usize) -> AblationPoint {
     AblationPoint {
-        setting: String::new(),
-        accuracy: hits as f64 / docs.len() as f64,
-        mean_candidates: candidates_total as f64 / docs.len() as f64,
+        setting,
+        accuracy: hits as f64 / docs as f64,
+        mean_candidates: candidates_total as f64 / docs as f64,
     }
-}
-
-fn threshold_sweep(
-    runner: &HeuristicRunner,
-    table: &CertaintyTable,
-    docs: &[GeneratedDoc],
-) -> Vec<AblationPoint> {
-    [0.01, 0.05, 0.10, 0.20, 0.30]
-        .into_iter()
-        .map(|t| {
-            let mut p = evaluate(runner, table, docs, t, true, HeuristicSet::ORSIH);
-            p.setting = format!("threshold {t:.2}");
-            p
-        })
-        .collect()
-}
-
-fn subtree_choice(
-    runner: &HeuristicRunner,
-    table: &CertaintyTable,
-    docs: &[GeneratedDoc],
-) -> Vec<AblationPoint> {
-    let mut fanout = evaluate(runner, table, docs, 0.10, true, HeuristicSet::ORSIH);
-    fanout.setting = "highest fan-out subtree (paper)".to_owned();
-    let mut root = evaluate(runner, table, docs, 0.10, false, HeuristicSet::ORSIH);
-    root.setting = "document root (ablated)".to_owned();
-    vec![fanout, root]
-}
-
-fn leave_one_out(
-    runner: &HeuristicRunner,
-    table: &CertaintyTable,
-    docs: &[GeneratedDoc],
-) -> Vec<AblationPoint> {
-    let mut out = Vec::new();
-    let mut full = evaluate(runner, table, docs, 0.10, true, HeuristicSet::ORSIH);
-    full.setting = "ORSIH (paper)".to_owned();
-    out.push(full);
-    for kind in HeuristicKind::ALL {
-        let subset = HeuristicSet::of(HeuristicKind::ALL.into_iter().filter(|k| *k != kind));
-        let mut p = evaluate(runner, table, docs, 0.10, true, subset);
-        p.setting = format!("{subset} (without {kind})");
-        out.push(p);
-    }
-    out
 }
 
 impl fmt::Display for AblationReport {
@@ -210,8 +200,7 @@ mod tests {
     use crate::DEFAULT_SEED;
 
     fn report() -> AblationReport {
-        let runner = HeuristicRunner::new().unwrap();
-        run_ablations(&runner, &CertaintyTable::paper_table4(), DEFAULT_SEED).unwrap()
+        run_ablations(&CertaintyTable::paper_table4(), DEFAULT_SEED).unwrap()
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   Table-10 quantities as mean/min/max (robustness check).
 //! * `--extraction` scores end-to-end extraction quality (the §2 context's
 //!   recall/precision) against the corpus ground truth.
-//! * `--jobs N` evaluates documents on N pipeline workers (default 1 =
-//!   serial); the tables are identical either way.
+//! * `--jobs N` evaluates documents on N pipeline workers (default 1);
+//!   the tables are identical for every N.
 //! * `--json` emits machine-readable JSON instead of text tables.
 
 #![forbid(unsafe_code)]
@@ -24,12 +24,11 @@
 use rbd_certainty::CertaintyTable;
 use rbd_corpus::{sites, Domain};
 use rbd_eval::{
-    calibrate_jobs, combination_sweep, extraction_quality, run_ablations, run_test_sets_jobs,
-    seed_sweep, HeuristicRunner, DEFAULT_SEED,
+    calibrate, combination_sweep, extraction_quality, run_ablations, run_test_sets, seed_sweep,
+    HeuristicRunner, DEFAULT_SEED,
 };
 use rbd_json::{Json, ToJson};
 use std::process::ExitCode;
-use std::sync::Arc;
 
 struct Args {
     table: Option<u8>,
@@ -117,7 +116,7 @@ fn main() -> ExitCode {
     };
 
     let runner = match HeuristicRunner::new() {
-        Ok(r) => Arc::new(r),
+        Ok(r) => r,
         Err(e) => {
             eprintln!("error compiling domain ontologies: {e}");
             return ExitCode::FAILURE;
@@ -136,7 +135,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let calibration = calibrate_jobs(&runner, args.seed, args.jobs);
+    let calibration = calibrate(&runner, args.seed, args.jobs);
     let table: CertaintyTable = if args.paper_cf {
         CertaintyTable::paper_table4()
     } else {
@@ -146,9 +145,9 @@ fn main() -> ExitCode {
     if args.json {
         // One JSON object with everything requested.
         let combos = combination_sweep(&calibration, &table);
-        let tests = run_test_sets_jobs(&runner, &table, args.seed, args.jobs);
+        let tests = run_test_sets(&runner, &table, args.seed, args.jobs);
         let ablations = if args.ablations {
-            match run_ablations(&runner, &table, args.seed) {
+            match run_ablations(&table, args.seed) {
                 Ok(r) => Some(r),
                 Err(e) => {
                     eprintln!("ablation error: {e}");
@@ -189,7 +188,7 @@ fn main() -> ExitCode {
         println!("{}", combination_sweep(&calibration, &table));
     }
     if (6..=10).any(want) {
-        let report = run_test_sets_jobs(&runner, &table, args.seed, args.jobs);
+        let report = run_test_sets(&runner, &table, args.seed, args.jobs);
         for set in &report.sets {
             if want(set.table_number) {
                 println!("{set}");
@@ -206,7 +205,7 @@ fn main() -> ExitCode {
     }
     if args.ablations {
         println!();
-        match run_ablations(&runner, &table, args.seed) {
+        match run_ablations(&table, args.seed) {
             Ok(report) => println!("{report}"),
             Err(e) => {
                 eprintln!("ablation error: {e}");
@@ -219,7 +218,7 @@ fn main() -> ExitCode {
             .map(|i| args.seed.wrapping_add(i * 97))
             .collect();
         println!();
-        println!("{}", seed_sweep(&runner, &seeds));
+        println!("{}", seed_sweep(&runner, &seeds, args.jobs));
     }
     if args.extraction {
         println!();

@@ -1,7 +1,7 @@
 //! The initial experiments (§5.2): rank distributions (Tables 2 and 3) and
 //! derived certainty factors (Table 4).
 
-use crate::runner::{evaluate_document, DocEvaluation, HeuristicRunner};
+use crate::runner::{evaluate_corpus, DocEvaluation, HeuristicRunner};
 use rbd_certainty::{CertaintyFactor, CertaintyTable};
 use rbd_corpus::{initial_corpus, Domain};
 use rbd_heuristics::HeuristicKind;
@@ -84,28 +84,15 @@ impl CalibrationReport {
 }
 
 /// Runs the initial experiments: 10 sites × 5 documents for each of the two
-/// calibration domains.
-pub fn calibrate(runner: &HeuristicRunner, seed: u64) -> CalibrationReport {
-    let obituaries = calibrate_domain(runner, Domain::Obituaries, seed);
-    let car_ads = calibrate_domain(runner, Domain::CarAds, seed);
-    assemble_report(obituaries, car_ads)
-}
-
-/// [`calibrate`] with document evaluation spread over `jobs` pipeline
-/// workers. The report is identical to the serial one — per-document
-/// evaluation is deterministic and order is restored before aggregation —
-/// and `jobs <= 1` degenerates to the serial sweep.
-pub fn calibrate_jobs(
-    runner: &std::sync::Arc<HeuristicRunner>,
-    seed: u64,
-    jobs: usize,
-) -> CalibrationReport {
-    let obituaries = calibrate_domain_jobs(runner, Domain::Obituaries, seed, jobs);
-    let car_ads = calibrate_domain_jobs(runner, Domain::CarAds, seed, jobs);
-    assemble_report(obituaries, car_ads)
-}
-
-fn assemble_report(obituaries: DomainCalibration, car_ads: DomainCalibration) -> CalibrationReport {
+/// calibration domains, evaluated on `jobs` pipeline workers (the report
+/// does not depend on `jobs`).
+pub fn calibrate(runner: &HeuristicRunner, seed: u64, jobs: usize) -> CalibrationReport {
+    let run_domain = |domain| {
+        let evaluations = evaluate_corpus(runner, &initial_corpus(domain, seed), jobs);
+        summarize_domain(domain, evaluations)
+    };
+    let obituaries = run_domain(Domain::Obituaries);
+    let car_ads = run_domain(Domain::CarAds);
     let mut table4 = [[0.0; 4]; 5];
     for (i, row) in table4.iter_mut().enumerate() {
         for (r, cell) in row.iter_mut().enumerate() {
@@ -118,24 +105,6 @@ fn assemble_report(obituaries: DomainCalibration, car_ads: DomainCalibration) ->
         car_ads,
         table4,
     }
-}
-
-fn calibrate_domain(runner: &HeuristicRunner, domain: Domain, seed: u64) -> DomainCalibration {
-    let docs = initial_corpus(domain, seed);
-    let evaluations: Vec<DocEvaluation> =
-        docs.iter().map(|d| evaluate_document(runner, d)).collect();
-    summarize_domain(domain, evaluations)
-}
-
-fn calibrate_domain_jobs(
-    runner: &std::sync::Arc<HeuristicRunner>,
-    domain: Domain,
-    seed: u64,
-    jobs: usize,
-) -> DomainCalibration {
-    let docs = initial_corpus(domain, seed);
-    let evaluations = crate::runner::evaluate_corpus_parallel(runner, &docs, jobs);
-    summarize_domain(domain, evaluations)
 }
 
 fn summarize_domain(domain: Domain, evaluations: Vec<DocEvaluation>) -> DomainCalibration {
@@ -247,7 +216,7 @@ mod tests {
     #[test]
     fn calibration_covers_100_documents() {
         let runner = HeuristicRunner::new().unwrap();
-        let report = calibrate(&runner, DEFAULT_SEED);
+        let report = calibrate(&runner, DEFAULT_SEED, 1);
         assert_eq!(report.obituaries.documents, 50);
         assert_eq!(report.car_ads.documents, 50);
     }
@@ -255,7 +224,7 @@ mod tests {
     #[test]
     fn distributions_sum_to_100() {
         let runner = HeuristicRunner::new().unwrap();
-        let report = calibrate(&runner, DEFAULT_SEED);
+        let report = calibrate(&runner, DEFAULT_SEED, 1);
         for dc in [&report.obituaries, &report.car_ads] {
             for d in &dc.distributions {
                 let sum: f64 = d.percent.iter().sum::<f64>() + d.beyond;
@@ -267,7 +236,7 @@ mod tests {
     #[test]
     fn certainty_table_reflects_table4() {
         let runner = HeuristicRunner::new().unwrap();
-        let report = calibrate(&runner, DEFAULT_SEED);
+        let report = calibrate(&runner, DEFAULT_SEED, 1);
         let t = report.certainty_table();
         let om_rank1 = t.factor(HeuristicKind::OM, 1).percent();
         assert!((om_rank1 - report.table4[0][0]).abs() < 1e-9);

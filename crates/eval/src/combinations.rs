@@ -125,7 +125,7 @@ mod tests {
     #[test]
     fn sweep_covers_26_combinations_and_orsih_wins() {
         let runner = HeuristicRunner::new().unwrap();
-        let cal = calibrate(&runner, DEFAULT_SEED);
+        let cal = calibrate(&runner, DEFAULT_SEED, 1);
         let table = cal.certainty_table();
         let report = combination_sweep(&cal, &table);
         assert_eq!(report.results.len(), 26);

@@ -8,12 +8,11 @@
 //! Figure-1 pipeline over generated documents and compare the populated
 //! database against the corpus's per-record ground-truth fields.
 
-use rbd_core::{ExtractorConfig, RecordExtractor};
+use crate::runner::HeuristicRunner;
+use rbd_core::{DiscoveryError, RecordExtractor};
 use rbd_corpus::{Domain, GeneratedDoc};
 use rbd_db::InstanceGenerator;
 use rbd_json::{Json, ToJson};
-use rbd_ontology::{domains, Ontology};
-use rbd_pattern::PatternError;
 use rbd_recognizer::Recognizer;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -91,15 +90,6 @@ impl DomainExtraction {
 pub struct ExtractionReport {
     /// Per-domain quality.
     pub domains: Vec<DomainExtraction>,
-}
-
-fn ontology_for(domain: Domain) -> Ontology {
-    match domain {
-        Domain::Obituaries => domains::obituaries(),
-        Domain::CarAds => domains::car_ads(),
-        Domain::JobAds => domains::job_ads(),
-        Domain::Courses => domains::courses(),
-    }
 }
 
 /// Loose value equality: trimmed, case-insensitive, and accepting an
@@ -211,7 +201,7 @@ fn score_document(
 }
 
 /// Measures extraction quality over the four test corpora (clean corpus).
-pub fn extraction_quality(seed: u64) -> Result<ExtractionReport, PatternError> {
+pub fn extraction_quality(seed: u64) -> Result<ExtractionReport, DiscoveryError> {
     extraction_quality_with_oov(seed, 0.0)
 }
 
@@ -220,18 +210,17 @@ pub fn extraction_quality(seed: u64) -> Result<ExtractionReport, PatternError> {
 /// the ~90 % the paper's companion experiments report on real prose, while
 /// precision stays high — noise makes fields unrecognizable far more often
 /// than it makes them mis-recognized.
-pub fn extraction_quality_with_oov(seed: u64, oov: f64) -> Result<ExtractionReport, PatternError> {
+pub fn extraction_quality_with_oov(
+    seed: u64,
+    oov: f64,
+) -> Result<ExtractionReport, DiscoveryError> {
+    let runner = HeuristicRunner::new()?;
     let mut report = ExtractionReport {
         domains: Vec::new(),
     };
     for domain in Domain::ALL {
-        let ontology = ontology_for(domain);
-        let extractor =
-            RecordExtractor::new(ExtractorConfig::default().with_ontology(ontology.clone()))
-                .map_err(|e| match e {
-                    rbd_core::DiscoveryError::Pattern(p) => p,
-                    other => unreachable!("config errors are pattern errors: {other}"),
-                })?;
+        let ontology = domain.ontology();
+        let extractor = runner.extractor(domain);
         let recognizer = Recognizer::new(&ontology)?;
         let generator = InstanceGenerator::new(&ontology);
 
@@ -250,7 +239,7 @@ pub fn extraction_quality_with_oov(seed: u64, oov: f64) -> Result<ExtractionRepo
         let mut acc: BTreeMap<String, FieldQuality> = BTreeMap::new();
         let mut records = 0;
         for doc in &docs {
-            records += score_document(doc, &extractor, &recognizer, &generator, &tracked, &mut acc);
+            records += score_document(doc, extractor, &recognizer, &generator, &tracked, &mut acc);
         }
         report.domains.push(DomainExtraction {
             domain: domain.to_string(),

@@ -11,6 +11,11 @@
 //! | 6–9 | per-site ranks on the four test sets | [`testsets`] |
 //! | 10 | success rates of the individual heuristics and ORSIH | [`testsets`] |
 //!
+//! Every table scores the extractor as it ships: [`HeuristicRunner`] holds
+//! one `rbd_core::RecordExtractor` per domain, and each document's ranks
+//! come from its `discover`. Each table takes the pipeline worker count
+//! `jobs` as a parameter; the reports do not depend on it.
+//!
 //! The corpus is synthetic (see `rbd-corpus` for the substitution argument);
 //! all experiments are deterministic in the seed. The default seed is
 //! [`DEFAULT_SEED`] and EXPERIMENTS.md records the outputs.
@@ -27,12 +32,12 @@ pub mod seeds;
 pub mod testsets;
 
 pub use ablation::{run_ablations, AblationReport};
-pub use calibration::{calibrate, calibrate_jobs, CalibrationReport, RankDistribution};
+pub use calibration::{calibrate, CalibrationReport, RankDistribution};
 pub use combinations::{combination_sweep, CombinationReport};
 pub use extraction::{extraction_quality, extraction_quality_with_oov, ExtractionReport};
-pub use runner::{evaluate_corpus_parallel, evaluate_document, DocEvaluation, HeuristicRunner};
+pub use runner::{evaluate_corpus, evaluate_document, DocEvaluation, HeuristicRunner};
 pub use seeds::{seed_sweep, SeedSweep};
-pub use testsets::{run_test_sets, run_test_sets_jobs, TestSetReport, TestSiteRow};
+pub use testsets::{run_test_sets, TestSetReport, TestSiteRow};
 
 /// Default experiment seed.
 ///

@@ -1,47 +1,52 @@
-//! Per-document evaluation: run all five heuristics and record where the
-//! ground-truth separator landed in each ranking.
+//! Per-document evaluation: run the shipped [`RecordExtractor`] under the
+//! document's domain ontology and record where the ground-truth separator
+//! landed in each heuristic's ranking.
 
+use rbd_core::{DiscoveryError, ExtractorConfig, RecordExtractor};
 use rbd_corpus::{Domain, GeneratedDoc};
-use rbd_heuristics::om::OntologyMatching;
-use rbd_heuristics::view::DEFAULT_CANDIDATE_THRESHOLD;
-use rbd_heuristics::{
-    ht::HighestCount, it::IdentifiableTags, rp::RepeatingPattern, sd::StandardDeviation, Heuristic,
-    HeuristicKind, Ranking, SubtreeView,
-};
+use rbd_heuristics::{HeuristicKind, Ranking};
 use rbd_json::{Json, ToJson};
-use rbd_ontology::domains;
-use rbd_pattern::PatternError;
 use rbd_pipeline::run_ordered;
-use rbd_tagtree::TagTreeBuilder;
 use std::sync::Arc;
 
-/// Runs the five heuristics with the right ontology per domain; the OM
-/// heuristics (one per domain) are compiled once and reused.
+/// One [`RecordExtractor`] per domain, each under its domain's ontology so
+/// OM votes. The extractors are compiled once and shared, so cloning a
+/// runner (e.g. into pipeline workers) is cheap.
+#[derive(Debug, Clone)]
 pub struct HeuristicRunner {
-    om_obituaries: OntologyMatching,
-    om_car_ads: OntologyMatching,
-    om_job_ads: OntologyMatching,
-    om_courses: OntologyMatching,
+    extractors: Arc<[RecordExtractor; 4]>,
 }
 
 impl HeuristicRunner {
-    /// Compiles the four domain ontologies.
-    pub fn new() -> Result<Self, PatternError> {
+    /// The paper's configuration (`ExtractorConfig::default()`) for all
+    /// four domains.
+    pub fn new() -> Result<Self, DiscoveryError> {
+        Self::with_config(&ExtractorConfig::default())
+    }
+
+    /// `config` plus each domain's ontology, compiled for all four domains.
+    pub fn with_config(config: &ExtractorConfig) -> Result<Self, DiscoveryError> {
+        let extractor =
+            |domain: Domain| RecordExtractor::new(config.clone().with_ontology(domain.ontology()));
         Ok(HeuristicRunner {
-            om_obituaries: OntologyMatching::new(domains::obituaries())?,
-            om_car_ads: OntologyMatching::new(domains::car_ads())?,
-            om_job_ads: OntologyMatching::new(domains::job_ads())?,
-            om_courses: OntologyMatching::new(domains::courses())?,
+            extractors: Arc::new([
+                extractor(Domain::Obituaries)?,
+                extractor(Domain::CarAds)?,
+                extractor(Domain::JobAds)?,
+                extractor(Domain::Courses)?,
+            ]),
         })
     }
 
-    /// The OM heuristic bound to `domain`'s ontology.
-    pub fn om(&self, domain: Domain) -> &OntologyMatching {
+    /// The extractor bound to `domain`'s ontology.
+    pub fn extractor(&self, domain: Domain) -> &RecordExtractor {
+        // rbd-lint: allow(panic) — an irrefutable array pattern, not an index
+        let [obituaries, car_ads, job_ads, courses] = &*self.extractors;
         match domain {
-            Domain::Obituaries => &self.om_obituaries,
-            Domain::CarAds => &self.om_car_ads,
-            Domain::JobAds => &self.om_job_ads,
-            Domain::Courses => &self.om_courses,
+            Domain::Obituaries => obituaries,
+            Domain::CarAds => car_ads,
+            Domain::JobAds => job_ads,
+            Domain::Courses => courses,
         }
     }
 }
@@ -75,49 +80,39 @@ impl DocEvaluation {
     }
 }
 
-/// Evaluates one generated document: builds the view, runs all heuristics,
-/// and records the true separator's rank in each.
+/// Evaluates one generated document: runs discovery and records the true
+/// separator's rank in each heuristic's ranking.
 pub fn evaluate_document(runner: &HeuristicRunner, doc: &GeneratedDoc) -> DocEvaluation {
-    let tree = TagTreeBuilder::default().build(&doc.html);
-    let view = SubtreeView::from_tree(&tree, DEFAULT_CANDIDATE_THRESHOLD);
-    let candidate_count = view.candidates().len();
+    // A document discovery rejects (no tags, no candidates) has nothing to
+    // rank: it counts as zero candidates.
+    let (candidates, rankings) = match runner.extractor(doc.domain).discover(&doc.html) {
+        Ok(outcome) => (outcome.candidates, outcome.rankings),
+        Err(_) => (Vec::new(), Vec::new()),
+    };
+    let candidate_count = candidates.len();
 
     let truth = doc.truth.separator.as_str();
     if candidate_count <= 1 {
         // §3 shortcut: every heuristic would be skipped; model them as all
         // agreeing on the sole candidate.
-        let rank = view
-            .candidates()
-            .first()
-            .map(|c| if c.name == truth { 1 } else { 2 });
+        let sole = candidates.into_iter().next().map(|c| c.name);
+        let rank = sole.as_ref().map(|name| if name == truth { 1 } else { 2 });
         return DocEvaluation {
             site: doc.site.to_owned(),
             url: doc.url.to_owned(),
             truth: truth.to_owned(),
             ranks: [rank; 5],
-            rankings: synthetic_unanimous_rankings(
-                view.candidates().first().map(|c| c.name.clone()),
-            ),
+            rankings: synthetic_unanimous_rankings(sole),
             candidate_count,
         };
     }
 
-    let om = runner.om(doc.domain);
-    let ht = HighestCount;
-    let it = IdentifiableTags::default();
-    let sd = StandardDeviation;
-    let rp = RepeatingPattern::default();
-    let heuristics: [&dyn Heuristic; 5] = [om, &rp, &sd, &it, &ht];
-    let rankings: Vec<Ranking> = heuristics.iter().filter_map(|h| h.rank(&view)).collect();
-
-    let mut ranks = [None; 5];
-    for (i, kind) in HeuristicKind::ALL.into_iter().enumerate() {
-        ranks[i] = rankings
+    let ranks = HeuristicKind::ALL.map(|kind| {
+        rankings
             .iter()
             .find(|r| r.kind == kind)
-            .and_then(|r| r.rank_of(truth));
-    }
-
+            .and_then(|r| r.rank_of(truth))
+    });
     DocEvaluation {
         site: doc.site.to_owned(),
         url: doc.url.to_owned(),
@@ -129,41 +124,28 @@ pub fn evaluate_document(runner: &HeuristicRunner, doc: &GeneratedDoc) -> DocEva
 }
 
 /// Evaluates a corpus on `jobs` pipeline workers, returning evaluations in
-/// input order — byte-identical to the serial sweep, since each document's
-/// evaluation is independent and deterministic. `jobs <= 1` (or a corpus of
-/// at most one document) falls back to the serial loop and spawns nothing,
-/// so callers can thread a `--jobs` flag straight through.
-pub fn evaluate_corpus_parallel(
-    runner: &Arc<HeuristicRunner>,
+/// input order. Each document's evaluation is independent and
+/// deterministic, so the result does not depend on `jobs`. A panic inside
+/// a job is re-raised here, as a serial loop would raise it.
+pub fn evaluate_corpus(
+    runner: &HeuristicRunner,
     docs: &[GeneratedDoc],
     jobs: usize,
 ) -> Vec<DocEvaluation> {
-    if jobs <= 1 || docs.len() <= 1 {
-        return docs.iter().map(|d| evaluate_document(runner, d)).collect();
-    }
-    let worker_runner = Arc::clone(runner);
+    let worker_runner = runner.clone();
     let run = run_ordered(
         jobs,
         docs.iter().cloned(),
         move |doc: GeneratedDoc| evaluate_document(&worker_runner, &doc),
         Arc::new(rbd_trace::NullSink),
     );
-    match run {
-        // A panicked job is re-evaluated serially: the experiment result
-        // never depends on pipeline health.
-        Ok(run) => run
-            .results
-            .into_iter()
-            .zip(docs)
-            .map(|(done, doc)| {
-                done.output
-                    .unwrap_or_else(|_| evaluate_document(runner, doc))
-            })
-            .collect(),
-        // A failed spawn degrades to the serial sweep rather than losing
-        // the experiment.
-        Err(_) => docs.iter().map(|d| evaluate_document(runner, d)).collect(),
-    }
+    // rbd-lint: allow(panic) — an experiment has no partial result to return
+    let run = run.unwrap_or_else(|e| panic!("evaluation pool failed: {e}"));
+    run.results
+        .into_iter()
+        // rbd-lint: allow(panic) — re-raises the job's own panic on the caller
+        .map(|done| done.output.unwrap_or_else(|e| panic!("{}", e.message)))
+        .collect()
 }
 
 /// For single-candidate documents: unanimous rank-1 rankings so compound
@@ -231,7 +213,7 @@ mod tests {
 
     #[test]
     fn parallel_evaluation_matches_serial() {
-        let runner = Arc::new(HeuristicRunner::new().unwrap());
+        let runner = HeuristicRunner::new().unwrap();
         let docs: Vec<GeneratedDoc> = Domain::ALL
             .into_iter()
             .flat_map(|d| {
@@ -243,7 +225,7 @@ mod tests {
         let serial: Vec<DocEvaluation> =
             docs.iter().map(|d| evaluate_document(&runner, d)).collect();
         for jobs in [1, 3] {
-            let parallel = evaluate_corpus_parallel(&runner, &docs, jobs);
+            let parallel = evaluate_corpus(&runner, &docs, jobs);
             assert_eq!(serial.len(), parallel.len());
             for (s, p) in serial.iter().zip(&parallel) {
                 assert_eq!(s.site, p.site, "jobs={jobs}: order not restored");

@@ -45,14 +45,15 @@ pub struct SeedSweep {
     pub perfect_seeds: usize,
 }
 
-/// Runs the full experiment (fresh calibration + test sets) for each seed.
-pub fn seed_sweep(runner: &HeuristicRunner, seeds: &[u64]) -> SeedSweep {
+/// Runs the full experiment (fresh calibration + test sets) for each seed,
+/// evaluating documents on `jobs` pipeline workers.
+pub fn seed_sweep(runner: &HeuristicRunner, seeds: &[u64], jobs: usize) -> SeedSweep {
     let mut individual: [Vec<f64>; 5] = Default::default();
     let mut compound = Vec::with_capacity(seeds.len());
     for &seed in seeds {
-        let calibration = calibrate(runner, seed);
+        let calibration = calibrate(runner, seed, jobs);
         let table = calibration.certainty_table();
-        let report = run_test_sets(runner, &table, seed);
+        let report = run_test_sets(runner, &table, seed, jobs);
         for (series, value) in individual.iter_mut().zip(report.individual_success) {
             series.push(value);
         }
@@ -132,7 +133,7 @@ mod tests {
     fn sweep_shape_holds_across_seeds() {
         let runner = HeuristicRunner::new().unwrap();
         let seeds: Vec<u64> = (0..5).map(|i| 1000 + i * 37).collect();
-        let sweep = seed_sweep(&runner, &seeds);
+        let sweep = seed_sweep(&runner, &seeds, 1);
         assert_eq!(sweep.seeds.len(), 5);
         // The compound never dips below the strongest individual's floor by
         // much, and stays uniformly high.

@@ -1,10 +1,10 @@
 //! The §6 test experiments: Tables 6–9 (per-site ranks in four application
 //! areas) and Table 10 (overall success rates).
 
-use crate::runner::{evaluate_document, DocEvaluation, HeuristicRunner};
+use crate::runner::{evaluate_corpus, DocEvaluation, HeuristicRunner};
 use crate::sc;
 use rbd_certainty::{CertaintyTable, CompoundHeuristic, HeuristicSet};
-use rbd_corpus::{test_corpus, Domain, GeneratedDoc};
+use rbd_corpus::{test_corpus, Domain};
 use rbd_heuristics::HeuristicKind;
 use rbd_json::{Json, ToJson};
 use std::fmt;
@@ -50,34 +50,14 @@ pub struct TestSetReport {
     pub compound_success: f64,
 }
 
-/// Runs the four test sets with the given certainty table.
-pub fn run_test_sets(runner: &HeuristicRunner, table: &CertaintyTable, seed: u64) -> TestSetReport {
-    run_test_sets_with(
-        |docs| docs.iter().map(|d| evaluate_document(runner, d)).collect(),
-        table,
-        seed,
-    )
-}
-
-/// [`run_test_sets`] with document evaluation spread over `jobs` pipeline
-/// workers — identical report, `jobs <= 1` degenerates to the serial sweep.
-pub fn run_test_sets_jobs(
-    runner: &std::sync::Arc<HeuristicRunner>,
+/// Runs the four test sets with the given certainty table, evaluating
+/// documents on `jobs` pipeline workers (the report does not depend on
+/// `jobs`).
+pub fn run_test_sets(
+    runner: &HeuristicRunner,
     table: &CertaintyTable,
     seed: u64,
     jobs: usize,
-) -> TestSetReport {
-    run_test_sets_with(
-        |docs| crate::runner::evaluate_corpus_parallel(runner, docs, jobs),
-        table,
-        seed,
-    )
-}
-
-fn run_test_sets_with(
-    evaluate: impl Fn(&[GeneratedDoc]) -> Vec<DocEvaluation>,
-    table: &CertaintyTable,
-    seed: u64,
 ) -> TestSetReport {
     let compound = CompoundHeuristic::new(HeuristicSet::ORSIH, table.clone());
     let mut sets = Vec::new();
@@ -93,7 +73,7 @@ fn run_test_sets_with(
     ] {
         let docs = test_corpus(domain, seed);
         let mut rows = Vec::new();
-        for eval in evaluate(&docs) {
+        for eval in evaluate_corpus(runner, &docs, jobs) {
             let consensus = compound.combine(&eval.rankings);
             let doc_sc = sc(&consensus.winners, &eval.truth);
             compound_sc += doc_sc;
@@ -127,7 +107,7 @@ fn run_test_sets_with(
 }
 
 /// A single heuristic's `sc(D)`: Y/X over its rank-1 tie set.
-fn individual_sc_of(eval: &crate::runner::DocEvaluation, kind: HeuristicKind) -> f64 {
+fn individual_sc_of(eval: &DocEvaluation, kind: HeuristicKind) -> f64 {
     let Some(ranking) = eval.rankings.iter().find(|r| r.kind == kind) else {
         return 0.0;
     };
@@ -233,7 +213,7 @@ mod tests {
     #[test]
     fn four_sets_of_five_sites() {
         let runner = HeuristicRunner::new().unwrap();
-        let report = run_test_sets(&runner, &CertaintyTable::paper_table4(), DEFAULT_SEED);
+        let report = run_test_sets(&runner, &CertaintyTable::paper_table4(), DEFAULT_SEED, 1);
         assert_eq!(report.sets.len(), 4);
         for set in &report.sets {
             assert_eq!(set.rows.len(), 5, "{}", set.domain);
@@ -243,7 +223,7 @@ mod tests {
     #[test]
     fn compound_beats_every_individual_heuristic() {
         let runner = HeuristicRunner::new().unwrap();
-        let report = run_test_sets(&runner, &CertaintyTable::paper_table4(), DEFAULT_SEED);
+        let report = run_test_sets(&runner, &CertaintyTable::paper_table4(), DEFAULT_SEED, 1);
         for (i, s) in report.individual_success.iter().enumerate() {
             assert!(
                 report.compound_success >= *s,
@@ -256,7 +236,7 @@ mod tests {
     #[test]
     fn report_renders() {
         let runner = HeuristicRunner::new().unwrap();
-        let report = run_test_sets(&runner, &CertaintyTable::paper_table4(), DEFAULT_SEED);
+        let report = run_test_sets(&runner, &CertaintyTable::paper_table4(), DEFAULT_SEED, 1);
         let text = report.to_string();
         assert!(text.contains("Table 6 analogue"));
         assert!(text.contains("ORSIH"));

@@ -10,7 +10,7 @@
 //! leave both constants as they are.
 
 use rbd_corpus::{generate_document, sites, Domain};
-use rbd_ontology::{domains, MatchKind, Ontology};
+use rbd_ontology::MatchKind;
 use rbd_recognizer::{estimate_record_count_from_table, DataRecordTable, Recognizer};
 
 /// The corpus seed the evaluation suites use (`rbd_eval::DEFAULT_SEED`).
@@ -62,22 +62,13 @@ fn fold(h: &mut Fnv, table: &DataRecordTable) {
     h.write(b"--\n");
 }
 
-fn ontology_for(domain: Domain) -> Ontology {
-    match domain {
-        Domain::Obituaries => domains::obituaries(),
-        Domain::CarAds => domains::car_ads(),
-        Domain::JobAds => domains::job_ads(),
-        Domain::Courses => domains::courses(),
-    }
-}
-
 /// Two documents of every initial and test site of all four domains, each
 /// recognized under its domain's ontology.
 #[test]
 fn corpus_tables_digest_is_pinned() {
     let mut h = Fnv::new();
     for domain in Domain::ALL {
-        let rec = Recognizer::new(&ontology_for(domain)).expect("built-in rules compile");
+        let rec = Recognizer::new(&domain.ontology()).expect("built-in rules compile");
         for style in sites::initial_sites(domain)
             .iter()
             .chain(&sites::test_sites(domain))
@@ -97,7 +88,7 @@ fn corpus_tables_digest_is_pinned() {
 fn edge_text_tables_digest_is_pinned() {
     let mut h = Fnv::new();
     for domain in Domain::ALL {
-        let rec = Recognizer::new(&ontology_for(domain)).expect("built-in rules compile");
+        let rec = Recognizer::new(&domain.ontology()).expect("built-in rules compile");
         for text in EDGE_TEXTS {
             fold(&mut h, &rec.recognize(text));
         }
@@ -111,7 +102,7 @@ fn table_estimate_matches_fresh_scan_estimate() {
     // must agree with counting them by re-scanning the text.
     use rbd_heuristics::om::OntologyMatching;
     for domain in Domain::ALL {
-        let ontology = ontology_for(domain);
+        let ontology = domain.ontology();
         let rec = Recognizer::new(&ontology).unwrap();
         let om = OntologyMatching::new(ontology.clone()).unwrap();
         let style = &sites::test_sites(domain)[0];

@@ -13,7 +13,7 @@ fn main() {
     let runner = HeuristicRunner::new().expect("domain ontologies compile");
 
     println!("Calibrating on 100 synthetic documents (Tables 2–4)…\n");
-    let calibration = calibrate(&runner, DEFAULT_SEED);
+    let calibration = calibrate(&runner, DEFAULT_SEED, 1);
     println!("{calibration}");
 
     let table = calibration.certainty_table();
@@ -30,6 +30,6 @@ fn main() {
     );
 
     println!("Scoring the four test sets (Tables 6–10)…\n");
-    let tests = run_test_sets(&runner, &table, DEFAULT_SEED);
+    let tests = run_test_sets(&runner, &table, DEFAULT_SEED, 1);
     println!("{tests}");
 }

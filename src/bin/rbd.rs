@@ -20,7 +20,7 @@
 
 #![forbid(unsafe_code)]
 
-use rbd::core::{check_assumptions, ExtractorConfig, RecordExtractor};
+use rbd::core::{ExtractorConfig, RecordExtractor};
 use rbd::db::InstanceGenerator;
 use rbd::ontology::{domains, parse_ontology, Ontology};
 use rbd::recognizer::Recognizer;
@@ -517,9 +517,12 @@ fn run() -> Result<(), String> {
     }
 
     let html = read_input(args.files.first().map(String::as_str))?;
+    let extractor = RecordExtractor::new(config).map_err(|e| e.to_string())?;
 
     if args.command == "check" {
-        let report = check_assumptions(&html, &config).map_err(|e| e.to_string())?;
+        let report = extractor
+            .check_assumptions(&html)
+            .map_err(|e| e.to_string())?;
         let _ = writeln!(out, "class: {}", report.class);
         let _ = writeln!(out, "max fan-out: {}", report.max_fanout);
         let _ = writeln!(out, "candidate tags: {}", report.candidate_count);
@@ -534,8 +537,6 @@ fn run() -> Result<(), String> {
         emit(&out);
         return finish_observability(sink.as_ref(), args.trace.as_deref(), args.metrics);
     }
-
-    let extractor = RecordExtractor::new(config).map_err(|e| e.to_string())?;
 
     match args.command.as_str() {
         "discover" => {

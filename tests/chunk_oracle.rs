@@ -13,7 +13,6 @@ use rbd::core::{chunk_at_separators, ExtractorConfig, Limits, Record, RecordExtr
 use rbd::corpus::adversarial::{generate_adversarial, AttackKind};
 use rbd::corpus::{initial_corpus, test_corpus, Domain};
 use rbd::html::{tokenize, tokenize_xml};
-use rbd::ontology::{domains, Ontology};
 use rbd::tagtree::{NodeId, TagTree, TagTreeBuilder};
 use rbd_prop::{check, gen, prop_assert_eq, Gen};
 
@@ -142,15 +141,6 @@ fn check_extraction(
     true
 }
 
-fn ontology_for(domain: Domain) -> Ontology {
-    match domain {
-        Domain::Obituaries => domains::obituaries(),
-        Domain::CarAds => domains::car_ads(),
-        Domain::JobAds => domains::job_ads(),
-        Domain::Courses => domains::courses(),
-    }
-}
-
 /// The adversarial corpus: `per_kind` documents of every attack class.
 fn adversarial(per_kind: usize) -> Vec<(String, String)> {
     const SEED: u64 = 0x0DD5_EED5_0DD5_EED5;
@@ -176,7 +166,7 @@ fn generated_corpus_chunks_equal_the_oracle() {
     for seed in [1496, 1497] {
         for domain in Domain::ALL {
             for xml in [false, true] {
-                let mut config = ExtractorConfig::default().with_ontology(ontology_for(domain));
+                let mut config = ExtractorConfig::default().with_ontology(domain.ontology());
                 if xml {
                     config = config.xml();
                 }

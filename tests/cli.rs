@@ -136,6 +136,20 @@ fn check_without_ontology_uses_structure_only() {
 }
 
 #[test]
+fn check_honours_xml_mode() {
+    // Case-sensitive XML names make `Ad` and `ad` two candidates; `check`
+    // must count them from the same tree `discover` ranks.
+    let feed = "<feed><title>Ads</title><Ad>one</Ad><ad>x</ad><Ad>two</Ad><ad>y</ad>\
+                <Ad>three</Ad><ad>z</ad><Ad>four</Ad><Note>n</Note></feed>";
+    let (stdout, stderr, ok) = run_with_stdin(&["check", "--xml"], feed);
+    assert!(ok, "stderr: {stderr}");
+    let (discovered, stderr, ok) = run_with_stdin(&["discover", "--xml", "--json"], feed);
+    assert!(ok, "stderr: {stderr}");
+    assert!(discovered.contains("\"candidates\":4"), "{discovered}");
+    assert!(stdout.contains("candidate tags: 4"), "{stdout}");
+}
+
+#[test]
 fn tree_prints_outline() {
     let (stdout, _, ok) = run_with_stdin(&["tree"], PAGE);
     assert!(ok);

@@ -8,9 +8,9 @@ use rbd_eval::{calibrate, combination_sweep, run_test_sets, HeuristicRunner, DEF
 #[test]
 fn headline_orsih_is_100_percent_on_test_sets() {
     let runner = HeuristicRunner::new().unwrap();
-    let calibration = calibrate(&runner, DEFAULT_SEED);
+    let calibration = calibrate(&runner, DEFAULT_SEED, 1);
     let table = calibration.certainty_table();
-    let report = run_test_sets(&runner, &table, DEFAULT_SEED);
+    let report = run_test_sets(&runner, &table, DEFAULT_SEED, 1);
     assert_eq!(
         report.compound_success, 100.0,
         "paper: ORSIH attains 100% accuracy on all twenty sites\n{report}"
@@ -29,7 +29,7 @@ fn individual_heuristic_ordering_matches_table_10() {
     // ORSIH 100. We assert the qualitative ordering: IT strongest,
     // HT weakest, compound above all.
     let runner = HeuristicRunner::new().unwrap();
-    let report = run_test_sets(&runner, &CertaintyTable::paper_table4(), DEFAULT_SEED);
+    let report = run_test_sets(&runner, &CertaintyTable::paper_table4(), DEFAULT_SEED, 1);
     let [om, rp, sd, it, ht] = report.individual_success;
     assert!(it >= om && it >= rp && it >= sd && it >= ht, "IT strongest");
     assert!(ht <= om && ht <= rp && ht <= sd, "HT weakest");
@@ -44,7 +44,7 @@ fn calibrated_factors_resemble_paper_table_4() {
     // Structure, not exact numbers: rank-1 mass dominates for every
     // heuristic, IT's rank-1 mass is the largest, HT's the smallest.
     let runner = HeuristicRunner::new().unwrap();
-    let report = calibrate(&runner, DEFAULT_SEED);
+    let report = calibrate(&runner, DEFAULT_SEED, 1);
     let rank1: Vec<f64> = report.table4.iter().map(|row| row[0]).collect();
     for (i, &r1) in rank1.iter().enumerate() {
         let rest: f64 = report.table4[i][1..].iter().sum();
@@ -70,7 +70,7 @@ fn it_containing_combinations_dominate_table_5() {
     // Paper: "all the combinations that include IT have high success rates
     // (over 90%)".
     let runner = HeuristicRunner::new().unwrap();
-    let calibration = calibrate(&runner, DEFAULT_SEED);
+    let calibration = calibrate(&runner, DEFAULT_SEED, 1);
     let table = calibration.certainty_table();
     let report = combination_sweep(&calibration, &table);
     for r in &report.results {
@@ -94,9 +94,9 @@ fn results_hold_across_seeds() {
     // ordering persists.
     let runner = HeuristicRunner::new().unwrap();
     for seed in [7, 42, 2024] {
-        let calibration = calibrate(&runner, seed);
+        let calibration = calibrate(&runner, seed, 1);
         let table = calibration.certainty_table();
-        let report = run_test_sets(&runner, &table, seed);
+        let report = run_test_sets(&runner, &table, seed, 1);
         assert!(
             report.compound_success >= 95.0,
             "seed {seed}: ORSIH fell to {:.1}%",
@@ -110,12 +110,12 @@ fn results_hold_across_seeds() {
 #[test]
 fn experiments_are_deterministic() {
     let runner = HeuristicRunner::new().unwrap();
-    let a = calibrate(&runner, DEFAULT_SEED);
-    let b = calibrate(&runner, DEFAULT_SEED);
+    let a = calibrate(&runner, DEFAULT_SEED, 1);
+    let b = calibrate(&runner, DEFAULT_SEED, 1);
     assert_eq!(a.table4, b.table4);
     let ta = a.certainty_table();
-    let ra = run_test_sets(&runner, &ta, DEFAULT_SEED);
-    let rb = run_test_sets(&runner, &ta, DEFAULT_SEED);
+    let ra = run_test_sets(&runner, &ta, DEFAULT_SEED, 1);
+    let rb = run_test_sets(&runner, &ta, DEFAULT_SEED, 1);
     assert_eq!(ra.individual_success, rb.individual_success);
     assert_eq!(ra.compound_success, rb.compound_success);
 }
@@ -132,7 +132,7 @@ fn boundary_discovery_is_immune_to_lexical_noise() {
     use rbd_eval::{evaluate_document, sc};
 
     let runner = HeuristicRunner::new().unwrap();
-    let calibration = calibrate(&runner, DEFAULT_SEED);
+    let calibration = calibrate(&runner, DEFAULT_SEED, 1);
     let compound = CompoundHeuristic::new("ORSIH".parse().unwrap(), calibration.certainty_table());
 
     for domain in Domain::ALL {
@@ -150,4 +150,60 @@ fn boundary_discovery_is_immune_to_lexical_noise() {
             );
         }
     }
+}
+
+/// FNV-1a over a stream of byte strings.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write(&mut self, json: &rbd_json::Json) {
+        for b in json.to_compact().bytes().chain([b'\n']) {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// The experiment report's digest per seed: calibration (Tables 2–4), the
+/// Table-5 sweep, and the test sets (Tables 6–10) and ablations under both
+/// the calibrated table and the paper's Table 4.
+const REPORT_DIGESTS: [(u64, u64); 3] = [
+    (DEFAULT_SEED, 0xcd8c_3c19_539a_562c),
+    (1000, 0x6d39_3a5a_2fc3_c022),
+    (2024, 0x63ee_04fb_cb18_cd7a),
+];
+
+/// The digest of `extraction_quality(DEFAULT_SEED)`.
+const EXTRACTION_DIGEST: u64 = 0x3476_689a_0b50_0fce;
+
+#[test]
+fn experiment_report_digest_is_pinned() {
+    // Every cell of the reproduced tables, not just their shape: a change
+    // meant to keep the tables byte-identical must leave these constants
+    // as they are. The digests must not depend on the worker count.
+    use rbd_eval::{extraction_quality, run_ablations};
+    use rbd_json::ToJson;
+
+    let runner = HeuristicRunner::new().unwrap();
+    for jobs in [1, 2] {
+        for (seed, pinned) in REPORT_DIGESTS {
+            let mut h = Fnv::new();
+            let calibration = calibrate(&runner, seed, jobs);
+            let calibrated = calibration.certainty_table();
+            h.write(&calibration.to_json());
+            h.write(&combination_sweep(&calibration, &calibrated).to_json());
+            for table in [calibrated, CertaintyTable::paper_table4()] {
+                h.write(&run_test_sets(&runner, &table, seed, jobs).to_json());
+                h.write(&run_ablations(&table, seed).unwrap().to_json());
+            }
+            assert_eq!(h.0, pinned, "seed {seed}, jobs {jobs}: {:#018x}", h.0);
+        }
+    }
+    let mut h = Fnv::new();
+    h.write(&extraction_quality(DEFAULT_SEED).unwrap().to_json());
+    assert_eq!(h.0, EXTRACTION_DIGEST, "extraction: {:#018x}", h.0);
 }

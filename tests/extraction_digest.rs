@@ -12,7 +12,6 @@
 use rbd::core::{ExtractorConfig, RecordExtractor};
 use rbd::corpus::adversarial::{generate_adversarial, AttackKind};
 use rbd::corpus::{generate_document, sites, Domain};
-use rbd::ontology::{domains, Ontology};
 use rbd::store::extraction_response_json;
 
 /// The chaos suite's seed: the adversarial corpus here is the first
@@ -51,15 +50,6 @@ fn fold(h: &mut Fnv, extractor: &RecordExtractor, html: &str) {
     h.write(b"\n");
 }
 
-fn ontology_for(domain: Domain) -> Ontology {
-    match domain {
-        Domain::Obituaries => domains::obituaries(),
-        Domain::CarAds => domains::car_ads(),
-        Domain::JobAds => domains::job_ads(),
-        Domain::Courses => domains::courses(),
-    }
-}
-
 #[test]
 fn adversarial_corpus_digest_is_pinned() {
     let extractor = RecordExtractor::new(ExtractorConfig::default()).expect("default config");
@@ -84,7 +74,7 @@ fn generated_corpus_digest_is_pinned() {
     let mut h = Fnv::new();
     for domain in Domain::ALL {
         let configs = [
-            ExtractorConfig::default().with_ontology(ontology_for(domain)),
+            ExtractorConfig::default().with_ontology(domain.ontology()),
             ExtractorConfig::default(),
         ];
         for config in configs {

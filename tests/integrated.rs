@@ -5,24 +5,14 @@
 
 use rbd::core::{ExtractorConfig, RecordExtractor};
 use rbd::db::InstanceGenerator;
-use rbd::ontology::{domains, Ontology};
 use rbd::recognizer::Recognizer;
 use rbd::trace::NullSink;
 use rbd_corpus::{generate_document, sites, Domain};
 
-fn ontology_for(domain: Domain) -> Ontology {
-    match domain {
-        Domain::Obituaries => domains::obituaries(),
-        Domain::CarAds => domains::car_ads(),
-        Domain::JobAds => domains::job_ads(),
-        Domain::Courses => domains::courses(),
-    }
-}
-
 #[test]
 fn integrated_discovery_agrees_across_the_corpus() {
     for domain in Domain::ALL {
-        let ontology = ontology_for(domain);
+        let ontology = domain.ontology();
         let extractor =
             RecordExtractor::new(ExtractorConfig::default().with_ontology(ontology.clone()))
                 .unwrap();
@@ -56,7 +46,7 @@ fn integrated_discovery_agrees_across_the_corpus() {
 #[test]
 fn integrated_partitions_populate_like_per_record_recognition() {
     let domain = Domain::Obituaries;
-    let ontology = ontology_for(domain);
+    let ontology = domain.ontology();
     let extractor =
         RecordExtractor::new(ExtractorConfig::default().with_ontology(ontology.clone())).unwrap();
     let recognizer = Recognizer::new(&ontology).unwrap();

@@ -11,15 +11,6 @@ use rbd::ontology::{domains, parse_ontology, Ontology};
 use rbd::tagtree::TagTreeBuilder;
 use rbd_corpus::{generate_document, sites, Domain};
 
-fn ontology_for(domain: Domain) -> Ontology {
-    match domain {
-        Domain::Obituaries => domains::obituaries(),
-        Domain::CarAds => domains::car_ads(),
-        Domain::JobAds => domains::job_ads(),
-        Domain::Courses => domains::courses(),
-    }
-}
-
 /// The built-in ontologies, then every `ontologies/*.ont` file.
 fn shipped_ontologies() -> Vec<Ontology> {
     let mut all = domains::all();
@@ -97,7 +88,7 @@ fn dfa_counts_equal_vm_counts_on_corpus_views() {
     let ontologies = shipped_ontologies();
     for seed in [rbd_eval::DEFAULT_SEED, rbd_eval::DEFAULT_SEED + 1] {
         for domain in Domain::ALL {
-            let name = ontology_for(domain).name;
+            let name = domain.ontology().name;
             let texts = view_texts(domain, seed);
             // The domain's own ontology, built in and from its file, plus
             // ontologies with no corpus domain (the rental example).

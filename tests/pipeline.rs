@@ -8,12 +8,7 @@ use rbd_ontology::domains;
 use rbd_recognizer::Recognizer;
 
 fn pipeline(domain: Domain, site_idx: usize, seed: u64) -> (usize, rbd_db::Database) {
-    let ontology = match domain {
-        Domain::Obituaries => domains::obituaries(),
-        Domain::CarAds => domains::car_ads(),
-        Domain::JobAds => domains::job_ads(),
-        Domain::Courses => domains::courses(),
-    };
+    let ontology = domain.ontology();
     let style = &sites::initial_sites(domain)[site_idx];
     let doc = generate_document(style, domain, 0, seed);
     let extractor =
