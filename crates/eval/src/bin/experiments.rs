@@ -1,7 +1,8 @@
 //! `experiments` — regenerate the paper's tables.
 //!
 //! ```text
-//! experiments [--table N | --all] [--seed S] [--paper-cf] [--json]
+//! experiments [--table N | --all] [--seed S] [--paper-cf] [--ablations]
+//!             [--seeds N] [--extraction] [--jobs N] [--json]
 //! ```
 //!
 //! * `--table N` prints the analogue of paper table N (1–10).
@@ -87,7 +88,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: experiments [--table N | --all] [--seed S] [--paper-cf] \
-                     [--jobs N] [--json]"
+                     [--ablations] [--seeds N] [--extraction] [--jobs N] [--json]"
                 );
                 std::process::exit(0);
             }

@@ -40,7 +40,6 @@ impl HeuristicRunner {
 
     /// The extractor bound to `domain`'s ontology.
     pub fn extractor(&self, domain: Domain) -> &RecordExtractor {
-        // rbd-lint: allow(panic) — an irrefutable array pattern, not an index
         let [obituaries, car_ads, job_ads, courses] = &*self.extractors;
         match domain {
             Domain::Obituaries => obituaries,

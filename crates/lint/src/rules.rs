@@ -374,13 +374,16 @@ fn check_panic(path: &Path, a: &Analysis, m: &Model<'_>, tier: Tier, findings: &
 }
 
 /// Keywords that may directly precede `[` without forming an index
-/// expression (`return [..]`, `break [..]`, …).
+/// expression (`return [..]`, `break [..]`, the array patterns of
+/// `let [a, b] = ..` and `for [a, b] in ..`, …).
 fn is_non_indexing_keyword(word: &str) -> bool {
     matches!(
         word,
         "return"
             | "break"
             | "else"
+            | "let"
+            | "for"
             | "in"
             | "if"
             | "match"
@@ -987,6 +990,18 @@ mod tests {
         let f = lint("fn f(v: &[u8]) -> u8 { v[0] }\n");
         assert_eq!(rules_of(&f), vec![Rule::Panic]);
         let f = lint("fn f(s: &str) -> &str { &s[1..3] }\n");
+        assert_eq!(rules_of(&f), vec![Rule::Panic]);
+    }
+
+    #[test]
+    fn array_patterns_not_flagged() {
+        assert!(lint("fn f(x: [u8; 2]) -> u8 { let [a, b] = x; a + b }\n").is_empty());
+        assert!(lint(
+            "fn f(p: &[[u8; 2]]) -> u8 { let mut s = 0; for [a, b] in p { s += a + b; } s }\n"
+        )
+        .is_empty());
+        // A real index beside the pattern is still caught.
+        let f = lint("fn f(x: [u8; 2]) -> u8 { let [a, _b] = x; a + x[0] }\n");
         assert_eq!(rules_of(&f), vec![Rule::Panic]);
     }
 

@@ -11,10 +11,10 @@
 //! 1. **No peer can take the service down.** Every read and write has a
 //!    socket timeout and an overall deadline; head and body sizes are
 //!    capped before allocation; extraction panics are caught per request.
-//! 2. **Overload degrades, never queues unboundedly.** The accept loop
-//!    gates on a connection cap, and a connection arriving at the pool's
-//!    full bounded injector is answered `503 Retry-After` — the same
-//!    queue bound `rbd-pipeline` puts on batch work.
+//! 2. **Overload degrades, never queues unboundedly.** A connection
+//!    arriving at the pool's full bounded injector is answered
+//!    `503 Retry-After` — the same queue bound `rbd-pipeline` puts on
+//!    batch work, and the service's only admission gate.
 //! 3. **Observability is structural.** Every decision lands in a counter
 //!    (`GET /metrics`), and with an audit sink attached, in the typed
 //!    [`ServerEvent`](rbd_trace::ServerEvent) stream.

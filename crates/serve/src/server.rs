@@ -7,7 +7,6 @@
 //!  accept loop (this thread)          rbd-pipeline pool (N workers)
 //!  ───────────────────────           ───────────────────────────────
 //!  accept → arm socket deadlines
-//!         → connection-count gate ──refuse──▶ 503 + Retry-After
 //!         → try_submit ────────────queue full─▶ 503 + Retry-After
 //!                      └──────────admitted───▶ worker: parse request
 //!                                              → route → extract
@@ -27,8 +26,8 @@
 //! - An extraction panic is caught at the request boundary, answered with
 //!   500, traced as [`ServerEvent::WorkerPanic`], and counted — the worker
 //!   thread survives.
-//! - Shutdown (via [`ShutdownHandle`] or `POST /shutdown`) stops the
-//!   accept loop, then drains in-flight work under
+//! - Shutdown (via [`ShutdownHandle`], which `POST /shutdown` also
+//!   calls) stops the accept loop, then drains in-flight work under
 //!   [`ServeConfig::drain_deadline`]; wedged workers are abandoned rather
 //!   than holding the process open.
 
@@ -76,11 +75,8 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bounded injector capacity — connections admitted but not yet
     /// picked up by a worker. A connection arriving at a full queue is
-    /// refused with 503.
+    /// refused with 503; this is the service's only admission gate.
     pub queue_capacity: usize,
-    /// Connections in flight (queued + being served) before the accept
-    /// loop starts refusing with 503.
-    pub max_connections: usize,
     /// HTTP parsing caps (head → 431, body → 413).
     pub caps: HttpCaps,
     /// Socket read/write timeout armed on every accepted connection.
@@ -114,7 +110,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
             queue_capacity: 64,
-            max_connections: 256,
             caps: HttpCaps::default(),
             io_timeout: Duration::from_secs(5),
             request_deadline: Duration::from_secs(10),
@@ -167,17 +162,18 @@ pub struct ServeReport {
     pub metrics: RegistrySnapshot,
 }
 
-/// Flips the accept loop's shutdown flag from another thread — the
-/// in-process analogue of SIGTERM (which `std` cannot trap portably).
+/// Stops the accept loop from another thread — the in-process analogue
+/// of SIGTERM (which `std` cannot trap portably). `POST /shutdown` goes
+/// through the same handle.
 #[derive(Debug, Clone)]
 pub struct ShutdownHandle {
-    shutdown: Arc<AtomicBool>,
+    requested: Arc<AtomicBool>,
 }
 
 impl ShutdownHandle {
     /// Requests graceful shutdown: stop accepting, drain, exit.
     pub fn trigger(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.requested.store(true, Ordering::SeqCst);
     }
 }
 
@@ -205,7 +201,7 @@ struct Ctx {
     trace_dir: Option<PathBuf>,
     started: Instant,
     active: AtomicUsize,
-    shutdown: Arc<AtomicBool>,
+    shutdown: ShutdownHandle,
     caps: HttpCaps,
     request_deadline: Duration,
     retry_after_s: u64,
@@ -406,8 +402,8 @@ impl TraceSink for RequestTrace {
 
 /// Decrements the in-flight connection count when the handler returns —
 /// including by panic, since the pool's `catch_unwind` runs this `Drop`
-/// during unwinding. Without it a single panicking request would leak a
-/// connection slot forever.
+/// during unwinding. Without it a single panicking request would inflate
+/// `/healthz`'s `active` and the drain report forever.
 struct ActiveGuard<'a> {
     active: &'a AtomicUsize,
 }
@@ -479,7 +475,9 @@ impl Server {
             trace_dir: config.trace_dir.clone(),
             started: Instant::now(),
             active: AtomicUsize::new(0),
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown: ShutdownHandle {
+                requested: Arc::new(AtomicBool::new(false)),
+            },
             caps: config.caps,
             request_deadline: config.request_deadline,
             retry_after_s: config.retry_after_s,
@@ -514,9 +512,7 @@ impl Server {
 
     /// A handle that requests graceful shutdown from another thread.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle {
-            shutdown: Arc::clone(&self.ctx.shutdown),
-        }
+        self.ctx.shutdown.clone()
     }
 
     /// Live server counters (also served at `GET /metrics`).
@@ -535,7 +531,7 @@ impl Server {
             config,
         } = self;
         let mut parting: Vec<(TcpStream, Instant)> = Vec::new();
-        while !ctx.shutdown.load(Ordering::SeqCst) {
+        while !ctx.shutdown.requested.load(Ordering::SeqCst) {
             reap_parting(&mut parting);
             match listener.accept() {
                 Ok((stream, peer)) => {
@@ -547,7 +543,7 @@ impl Server {
                         .and_then(|()| stream.set_read_timeout(Some(config.io_timeout)))
                         .and_then(|()| stream.set_write_timeout(Some(config.io_timeout)));
                     match armed {
-                        Ok(()) => admit(&ctx, &pool, &config, stream, peer, &mut parting),
+                        Ok(()) => admit(&ctx, &pool, stream, peer, &mut parting),
                         Err(_) => ctx.metrics.add("serve_accept_errors", 1),
                     }
                 }
@@ -590,30 +586,23 @@ impl Server {
     }
 }
 
-/// Connection-count gate and pool submission. Runs on the accept thread,
-/// so everything here must be non-blocking.
+/// Pool submission, the one admission gate: a full queue bounces the
+/// connection with 503. Runs on the accept thread, so everything here
+/// must be non-blocking.
 fn admit(
     ctx: &Arc<Ctx>,
     pool: &Pool<Conn, ()>,
-    config: &ServeConfig,
     stream: TcpStream,
     peer: SocketAddr,
     parting: &mut Vec<(TcpStream, Instant)>,
 ) {
-    let active_now = ctx.active.load(Ordering::SeqCst);
-    if active_now >= config.max_connections {
-        ctx.metrics.add("serve_conns_refused", 1);
-        shed_event(ctx, pool.queue_depth());
-        refuse(ctx, stream, parting);
-        return;
-    }
-    ctx.active.fetch_add(1, Ordering::SeqCst);
+    let active = ctx.active.fetch_add(1, Ordering::SeqCst) + 1;
     ctx.metrics.add("serve_conns_accepted", 1);
     if ctx.audit.enabled() {
         ctx.audit
             .event(TraceEvent::Server(ServerEvent::ConnAccepted {
                 peer: peer.to_string(),
-                active: active_now + 1,
+                active,
             }));
     }
     let conn = Conn {
@@ -633,15 +622,14 @@ fn admit(
     }
 }
 
-/// Rolls back an admission the pool refused, then refuses the peer.
-fn bounce(ctx: &Ctx, stream: TcpStream, depth: usize, parting: &mut Vec<(TcpStream, Instant)>) {
+/// Rolls back an admission the full queue refused, then answers 503 +
+/// `Retry-After` on the accept thread and parks the socket in `parting`
+/// so it closes cleanly (see [`PARTING_GRACE`]). The socket already has a
+/// write timeout, so a peer that refuses to read cannot stall the accept
+/// loop for longer than one timeout window.
+fn bounce(ctx: &Ctx, mut stream: TcpStream, depth: usize, parting: &mut Vec<(TcpStream, Instant)>) {
     ctx.active.fetch_sub(1, Ordering::SeqCst);
     ctx.metrics.add("serve_requests_shed", 1);
-    shed_event(ctx, depth);
-    refuse(ctx, stream, parting);
-}
-
-fn shed_event(ctx: &Ctx, depth: usize) {
     if ctx.audit.enabled() {
         ctx.audit
             .event(TraceEvent::Server(ServerEvent::RequestShed {
@@ -649,13 +637,6 @@ fn shed_event(ctx: &Ctx, depth: usize) {
                 retry_after_s: ctx.retry_after_s,
             }));
     }
-}
-
-/// Answers 503 + `Retry-After` on the accept thread, then parks the
-/// socket in `parting` so it closes cleanly (see [`PARTING_GRACE`]). The
-/// socket already has a write timeout, so a peer that refuses to read
-/// cannot stall the accept loop for longer than one timeout window.
-fn refuse(ctx: &Ctx, mut stream: TcpStream, parting: &mut Vec<(TcpStream, Instant)>) {
     let mut response = Response::json(
         503,
         "Service Unavailable",
@@ -827,7 +808,7 @@ fn route(ctx: &Ctx, rt: &RequestTrace, request: &Request) -> Response {
         }
         ("GET", "/metrics.json") => Response::json(200, "OK", metrics_json(ctx)),
         ("POST", "/shutdown") => {
-            ctx.shutdown.store(true, Ordering::SeqCst);
+            ctx.shutdown.trigger();
             let body = Json::object([("status", Json::Str("draining".to_string()))]).to_compact();
             Response::json(200, "OK", body)
         }
@@ -1062,13 +1043,7 @@ fn metrics_json(ctx: &Ctx) -> String {
                     "accepted",
                     Json::UInt(registry.counter("serve_conns_accepted")),
                 ),
-                (
-                    "shed",
-                    Json::UInt(
-                        registry.counter("serve_requests_shed")
-                            + registry.counter("serve_conns_refused"),
-                    ),
-                ),
+                ("shed", Json::UInt(registry.counter("serve_requests_shed"))),
                 ("timeouts", Json::UInt(registry.counter("serve_timeouts"))),
                 ("panics", Json::UInt(registry.counter("serve_panics"))),
             ]),
@@ -1224,6 +1199,68 @@ mod tests {
         assert!(bye.starts_with("HTTP/1.1 200"), "{bye}");
         let report = join.join().expect("server thread");
         assert_eq!(report.abandoned, 0);
+    }
+
+    /// Runs `server` on a thread and reports how long after `trigger`
+    /// returned `run` took to hand back its report, or `None` if it had
+    /// not returned 1 s after.
+    fn run_after_trigger(server: Server, trigger_first: bool) -> Option<Duration> {
+        let handle = server.shutdown_handle();
+        let early = trigger_first.then(|| {
+            handle.trigger();
+            Instant::now()
+        });
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let report = server.run();
+            let _ = tx.send(report);
+        });
+        let triggered = early.unwrap_or_else(|| {
+            // Long enough for the loop to be polling with no traffic.
+            std::thread::sleep(Duration::from_millis(100));
+            handle.trigger();
+            Instant::now()
+        });
+        let report = rx.recv_timeout(Duration::from_secs(1)).ok()?;
+        assert_eq!(report.abandoned, 0);
+        Some(triggered.elapsed())
+    }
+
+    #[test]
+    fn trigger_stops_an_idle_server_on_loopback_and_unspecified_binds() {
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let server = Server::bind(
+                ServeConfig {
+                    addr: addr.to_string(),
+                    workers: 1,
+                    ..ServeConfig::default()
+                },
+                None,
+            )
+            .expect("bind");
+            let waited = run_after_trigger(server, false);
+            assert!(
+                waited.is_some_and(|d| d < Duration::from_millis(500)),
+                "{addr}: run() did not return promptly after trigger: {waited:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn trigger_before_run_returns_promptly() {
+        let server = Server::bind(
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+            None,
+        )
+        .expect("bind");
+        let waited = run_after_trigger(server, true);
+        assert!(
+            waited.is_some_and(|d| d < Duration::from_millis(500)),
+            "run() did not return promptly: {waited:?}"
+        );
     }
 
     #[test]

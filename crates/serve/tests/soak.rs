@@ -32,7 +32,6 @@ fn soak_config() -> ServeConfig {
     ServeConfig {
         workers: 4,
         queue_capacity: 32,
-        max_connections: 128,
         caps: HttpCaps {
             max_head_bytes: 8 * 1024,
             max_body_bytes: 4 * 1024 * 1024,
@@ -424,73 +423,16 @@ fn soak_survives_adversarial_fleet_with_correct_answers() {
     );
 }
 
-/// Deterministic overload: a one-connection server with a slowloris peer
-/// holding the only slot must answer the next connection `503` with
-/// `Retry-After` — shedding, not queueing.
-#[test]
-fn connection_cap_sheds_with_retry_after() {
-    let server = Server::bind(
-        ServeConfig {
-            workers: 1,
-            queue_capacity: 4,
-            max_connections: 1,
-            io_timeout: Duration::from_secs(2),
-            request_deadline: Duration::from_secs(5),
-            ..ServeConfig::default()
-        },
-        None,
-    )
-    .expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    let shutdown = server.shutdown_handle();
-    let server_thread = std::thread::spawn(move || server.run());
-
-    // Occupy the single slot with a deliberately slow request.
-    let mut holder = TcpStream::connect(addr).expect("connect holder");
-    holder
-        .write_all(b"POST /extract HTTP/1.1\r\nContent-Length: 5\r\n\r\n")
-        .expect("partial request");
-    // Wait until the accept loop has admitted the holder.
-    std::thread::sleep(Duration::from_millis(300));
-
-    let refused = talk(addr, b"GET /healthz HTTP/1.1\r\n\r\n").expect("refused client");
-    assert_eq!(status_of(&refused), 503, "{refused}");
-    assert!(refused.contains("Retry-After: 1\r\n"), "{refused}");
-    assert!(refused.contains("\"kind\":\"overload\""), "{refused}");
-
-    // Release the slot and confirm service resumes.
-    holder.write_all(b"hello").expect("finish holder");
-    let mut out = String::new();
-    holder.read_to_string(&mut out).expect("holder response");
-    assert_eq!(status_of(&out), 422, "plain text has no tags: {out}");
-
-    let healthy = talk(addr, b"GET /healthz HTTP/1.1\r\n\r\n").expect("recovered client");
-    assert_eq!(status_of(&healthy), 200, "service must recover: {healthy}");
-
-    shutdown.trigger();
-    let report = server_thread.join().expect("server thread");
-    assert!(
-        report
-            .metrics
-            .counters
-            .get("serve_conns_refused")
-            .copied()
-            .unwrap_or(0)
-            >= 1
-    );
-}
-
-/// Deterministic queue-full refusal, the pool's only overload path: with
+/// Deterministic overload through the service's only admission gate: with
 /// one worker held by a slowloris request and the one queue slot held by a
-/// second, the next connection is refused `503` with `Retry-After` even
-/// though the connection cap has room.
+/// second, the next connection is refused `503` with `Retry-After` —
+/// shedding, not queueing.
 #[test]
 fn full_queue_sheds_with_retry_after() {
     let server = Server::bind(
         ServeConfig {
             workers: 1,
             queue_capacity: 1,
-            max_connections: 8,
             io_timeout: Duration::from_secs(2),
             request_deadline: Duration::from_secs(5),
             ..ServeConfig::default()
