@@ -9,6 +9,7 @@
 //! from its separator child's text offset to the next one's, with its
 //! whitespace squeezed.
 
+use rbd_html::squeeze_whitespace;
 use rbd_tagtree::{NodeId, TagTree};
 
 /// One extracted record: its byte range in the source document plus its
@@ -78,23 +79,9 @@ fn make_record(text: &str, start: usize, end: usize) -> Option<Record> {
     (!text.is_empty()).then_some(Record { text, start, end })
 }
 
-/// Collapses runs of whitespace to single spaces and trims the ends —
-/// record text is sentence-like prose for downstream recognizers.
-pub fn squeeze_whitespace(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for word in s.split_whitespace() {
-        if !out.is_empty() {
-            out.push(' ');
-        }
-        out.push_str(word);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbd_prop::{check, gen, prop_assert_eq, Gen};
     use rbd_tagtree::TagTreeBuilder;
 
     fn split(src: &str, sep: &str) -> (Option<Record>, Vec<Record>) {
@@ -159,60 +146,5 @@ mod tests {
         let (_, records) = split(src, "hr");
         assert_eq!(records.len(), 2);
         assert!(records[0].text.contains("nested"));
-    }
-
-    /// The reference squeeze: one `char` at a time.
-    fn squeeze_reference(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        let mut in_ws = true;
-        for c in s.chars() {
-            if c.is_whitespace() {
-                if !in_ws {
-                    out.push(' ');
-                    in_ws = true;
-                }
-            } else {
-                out.push(c);
-                in_ws = false;
-            }
-        }
-        while out.ends_with(' ') {
-            out.pop();
-        }
-        out
-    }
-
-    /// Mostly letters and single spaces, with ASCII and Unicode
-    /// whitespace, control chars and multi-byte chars mixed in.
-    #[test]
-    fn squeeze_whitespace_equals_the_char_reference() {
-        let piece = Gen::weighted(vec![
-            (6, gen::string_from("abcdefgh", 1..=9)),
-            (4, Gen::just(" ".to_owned())),
-            (
-                3,
-                gen::string_from(
-                    " \t\n\r\x0b\x0c\x01\x7f\u{85}\u{a0}\u{2028}\u{3000}é€😀",
-                    1..=3,
-                ),
-            ),
-        ]);
-        check(
-            "squeeze_whitespace_equals_the_char_reference",
-            &gen::concat(piece, 0..=40),
-            |s| {
-                prop_assert_eq!(squeeze_whitespace(s), squeeze_reference(s));
-                Ok(())
-            },
-        );
-    }
-
-    #[test]
-    fn squeeze_whitespace_behaviour() {
-        assert_eq!(squeeze_whitespace("  a\n\t b  c "), "a b c");
-        assert_eq!(squeeze_whitespace(""), "");
-        assert_eq!(squeeze_whitespace(" \n\t "), "");
-        // Unicode whitespace squeezes too.
-        assert_eq!(squeeze_whitespace("a\u{a0}\u{3000} b\u{2028}"), "a b");
     }
 }

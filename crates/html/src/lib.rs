@@ -29,6 +29,10 @@
 //! [`Sym`]s resolved against the stream's [`SymbolTable`], and text tokens
 //! borrow their raw slice, decoding character references lazily.
 //!
+//! Two text-layer transforms sit beside the tokenizer: [`decode_entities`]
+//! decodes character references, and [`squeeze_whitespace`] collapses
+//! whitespace runs in extracted record text to single spaces.
+//!
 //! ## Example
 //!
 //! ```
@@ -49,12 +53,14 @@ pub mod entities;
 pub mod intern;
 mod scan;
 pub mod span;
+mod squeeze;
 pub mod token;
 pub mod tokenizer;
 
 pub use entities::decode_entities;
 pub use intern::{Sym, SymbolTable};
 pub use span::Span;
+pub use squeeze::squeeze_whitespace;
 pub use token::{Attribute, EndTag, StartTag, Text, Token};
 pub use tokenizer::{
     tokenize, tokenize_xml, TokenBudget, TokenStream, Tokenizer, Warning, WarningKind,

@@ -1,10 +1,11 @@
 //! Chunked (SWAR) delimiter scanning for the tokenizer hot path.
 //!
 //! The tokenizer spends most of its time finding the next `<` — and, inside
-//! a text run, noticing whether an `&` occurred before it. These helpers do
-//! that eight bytes at a time with SIMD-within-a-register arithmetic
-//! (Mycroft's zero-byte trick), falling back to a plain byte loop only for
-//! the sub-word remainder. Everything here is panic-free: no indexing, no
+//! a text run, noticing whether an `&` occurred before it; squeezing record
+//! text spends its time finding where an already-squeezed ASCII run ends.
+//! These helpers do that eight bytes at a time with
+//! SIMD-within-a-register arithmetic (Mycroft's zero-byte trick), falling
+//! back to a plain byte loop or a padded word for the sub-word remainder. Everything here is panic-free: no indexing, no
 //! unwraps, and only widening casts.
 
 const LO: u64 = 0x0101_0101_0101_0101;
@@ -99,6 +100,44 @@ pub(crate) fn scan_text_run(bytes: &[u8], from: usize) -> (usize, bool) {
         amp |= b == b'&';
     }
     (bytes.len(), amp)
+}
+
+/// A mask whose high bit is set in every lane of `word` that may end an
+/// already-squeezed ASCII run: a byte `<= 0x20` or `>= 0x80`, except a
+/// `' '` whose next lane is printable ASCII (`0x21..=0x7f`). A space in the
+/// top lane has no next lane in the word, so it stays set.
+#[inline]
+fn run_breaks(word: u64) -> u64 {
+    // Adding 0x5f to a lane's low seven bits carries into its high bit
+    // exactly when they are >= 0x21, and never into the next lane.
+    let printable = (word & !HI).wrapping_add(LO.wrapping_mul(0x5f)) & !word & HI;
+    let lone_space = lanes_eq(word, b' ') & (printable >> 8);
+    (printable ^ HI) & !lone_space
+}
+
+/// Index of the first byte at or after `from` that may end an
+/// already-squeezed ASCII run (see [`run_breaks`]; words are counted from
+/// `from`), or `bytes.len()`. Every byte before it is printable ASCII or a
+/// space followed by printable ASCII.
+pub(crate) fn find_run_break(bytes: &[u8], from: usize) -> usize {
+    let tail = bytes.get(from..).unwrap_or(&[]);
+    let mut offset = 0usize;
+    let mut chunks = tail.chunks_exact(8);
+    for chunk in &mut chunks {
+        let mask = run_breaks(load_word(chunk));
+        if mask != 0 {
+            return from + offset + first_lane(mask);
+        }
+        offset += 8;
+    }
+    // The remainder, padded with NULs: the lane after its last byte always
+    // breaks, so a trailing space does too.
+    let mut last = [0u8; 8];
+    for (lane, &b) in last.iter_mut().zip(chunks.remainder()) {
+        *lane = b;
+    }
+    let lane = first_lane(run_breaks(u64::from_le_bytes(last)));
+    (from + offset + lane).min(bytes.len())
 }
 
 #[cfg(test)]
@@ -199,5 +238,77 @@ mod tests {
                 "from {from}"
             );
         }
+    }
+
+    /// The byte loop `find_run_break` must equal: the first byte `<= 0x20`
+    /// or `>= 0x80`, skipping a space whose next byte is printable ASCII
+    /// and in the same eight-byte word (counted from `from`).
+    fn naive_run_break(bytes: &[u8], from: usize) -> usize {
+        let printable = |b: u8| (0x21..=0x7f).contains(&b);
+        (from..bytes.len())
+            .find(|&i| {
+                let b = bytes.get(i).copied().unwrap_or(0);
+                let next = bytes.get(i + 1).copied().unwrap_or(0);
+                let lone_space = b == b' ' && (i - from) % 8 != 7 && printable(next);
+                !printable(b) && !lone_space
+            })
+            .unwrap_or(bytes.len())
+    }
+
+    /// Every pair of byte values, at every lane position of two words and
+    /// a remainder, from two different word alignments.
+    #[test]
+    fn find_run_break_exhaustive_against_naive() {
+        for a in 0..=255u8 {
+            for b in 0..=255u8 {
+                for pos in 0..19 {
+                    let mut buf = [b'x'; 21];
+                    for (i, slot) in buf.iter_mut().enumerate() {
+                        if i == pos {
+                            *slot = a;
+                        } else if i == pos + 1 {
+                            *slot = b;
+                        }
+                    }
+                    for from in [0, 3] {
+                        assert_eq!(
+                            find_run_break(&buf, from),
+                            naive_run_break(&buf, from),
+                            "bytes {a:#04x} {b:#04x} at {pos} from {from}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn find_run_break_every_from_and_length() {
+        let src = b"Ann B. Smith  died\tMay 1, 1998.\x0b\x7f\x01x \xc2\xa0 y z ";
+        for end in 0..=src.len() {
+            let bytes = src.get(..end).unwrap_or(&[]);
+            for from in 0..=end + 1 {
+                assert_eq!(
+                    find_run_break(bytes, from),
+                    naive_run_break(bytes, from),
+                    "from {from} of {end} bytes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn find_run_break_basics() {
+        // A lone space inside a word is skipped; one in the top lane stops.
+        assert_eq!(find_run_break(b"ab cd ef", 0), 8);
+        assert_eq!(find_run_break(b"abcdefg hij", 0), 7);
+        // Doubled space, trailing space, tab, NUL, non-ASCII.
+        assert_eq!(find_run_break(b"ab  cd", 0), 2);
+        assert_eq!(find_run_break(b"ab ", 0), 2);
+        assert_eq!(find_run_break(b"abc\tdef", 0), 3);
+        assert_eq!(find_run_break(b"abcdefghij\0", 0), 10);
+        assert_eq!(find_run_break("abcdefghé".as_bytes(), 0), 8);
+        assert_eq!(find_run_break(b"", 0), 0);
+        assert_eq!(find_run_break(b"abc", 9), 3);
     }
 }

@@ -119,6 +119,10 @@ pub fn normalize_tokens<'a>(tokens: &TokenStream<'a>) -> (Vec<Event<'a>>, Normal
     // rbd-lint: allow(budget) — proportional to the token stream, which the TokenBudget caps
     let mut events: Vec<Event<'a>> = Vec::with_capacity(tokens.tokens.len() + 16);
     let mut stack: Vec<Open> = Vec::new();
+    // How many entries of each interned name `stack` holds, so an orphan
+    // end-tag is recognized without scanning the stack. A `Sym` out of the
+    // table's range has no count and falls back to the scan.
+    let mut open_count: Vec<usize> = vec![0; tokens.symbols.len()];
     // Pending synthetic end-tags keyed by the index (into `events`) of the
     // event they must precede; indices ≥ `events.len()` at splice time append.
     let mut pending: Vec<(usize, Event<'a>)> = Vec::new();
@@ -166,6 +170,9 @@ pub fn normalize_tokens<'a>(tokens: &TokenStream<'a>) -> (Vec<Event<'a>>, Normal
                         synthetic: false,
                     });
                 } else {
+                    if let Some(n) = open_count.get_mut(t.name.index()) {
+                        *n += 1;
+                    }
                     stack.push(Open {
                         name: t.name,
                         next_tag: None,
@@ -176,8 +183,14 @@ pub fn normalize_tokens<'a>(tokens: &TokenStream<'a>) -> (Vec<Event<'a>>, Normal
             Token::End(t) => {
                 // Find the matching start-tag on the stack, searching from
                 // the top (paper: "Search for the corresponding start-tag of
-                // G in S"). Interned names make this an integer scan.
-                match stack.iter().rposition(|o| o.name == t.name) {
+                // G in S"). Interned names make this an integer scan, and
+                // an orphan costs one count lookup; the scan for an open
+                // name is paid for by the pops that follow it.
+                let found = match open_count.get(t.name.index()) {
+                    Some(0) => None,
+                    _ => stack.iter().rposition(|o| o.name == t.name),
+                };
+                match found {
                     None => {
                         // Useless tag: an end-tag with no corresponding
                         // start-tag is discarded.
@@ -190,6 +203,9 @@ pub fn normalize_tokens<'a>(tokens: &TokenStream<'a>) -> (Vec<Event<'a>>, Normal
                         // (down to `pos`) is the match itself, which gets
                         // the real end-tag.
                         while let Some(open) = stack.pop() {
+                            if let Some(n) = open_count.get_mut(open.name.index()) {
+                                *n -= 1;
+                            }
                             if stack.len() <= pos {
                                 debug_assert_eq!(open.name, t.name);
                                 events.push(Event::End {

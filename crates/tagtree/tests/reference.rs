@@ -10,6 +10,8 @@
 use rbd_html::{tokenize, Token};
 use rbd_prop::{check_cases, gen, prop_assert, prop_assert_eq, Gen};
 use rbd_tagtree::event::{is_balanced, normalize, Event};
+use rbd_tagtree::TagTreeBuilder;
+use std::time::{Duration, Instant};
 
 /// Reference event: name + start/end/text discriminator, no spans.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,16 +126,62 @@ fn hand_picked_cases() {
     ] {
         assert_equivalent(src);
     }
+    assert_equivalent(&orphan_storm(200));
+}
+
+/// `<br>` never closes, so the stack grows one entry per `<br>x`; then
+/// every `</i>` is an orphan end-tag against that full stack. The leading
+/// `<i>` opens and closes first, so `i` has been on the stack before.
+fn orphan_storm(n: usize) -> String {
+    format!("<td><i>x</i>{}{}</td>", "<br>x".repeat(n), "</i>".repeat(n))
+}
+
+/// The storm's same-size control: `<i>x` opens instead of orphaning.
+fn orphan_storm_control(n: usize) -> String {
+    format!("<td><i>x</i>{}{}</td>", "<br>x".repeat(n), "<i>x".repeat(n))
+}
+
+/// The fastest of five tree builds of `source`.
+fn best_build_time(source: &str) -> Duration {
+    (0..5)
+        .map(|_| {
+            let started = Instant::now();
+            let tree = TagTreeBuilder::default().build(source);
+            let took = started.elapsed();
+            assert!(tree.len() > 1);
+            took
+        })
+        .min()
+        .unwrap_or_default()
+}
+
+/// An orphan end-tag costs O(1), not a scan of the open-tag stack: 40k
+/// orphans against a 40k-deep stack build within 4× of the control.
+#[test]
+fn orphan_storm_builds_in_linear_time() {
+    let n = 40_000;
+    let storm = best_build_time(&orphan_storm(n));
+    let control = best_build_time(&orphan_storm_control(n));
+    assert!(
+        storm <= control * 4,
+        "orphan storm {storm:?} vs control {control:?}"
+    );
 }
 
 fn arb_soup() -> Gen<String> {
     let tag = || Gen::select(vec!["b", "i", "hr", "br", "td", "tr", "p", "div", "li"]);
+    // Bursts that deepen the stack with tags that never close, and bursts
+    // of end tags that are mostly orphans against it.
+    let burst =
+        |pieces: Vec<&'static str>| Gen::vec(Gen::select(pieces), 5..=40).map(|v| v.concat());
     let piece = Gen::one_of(vec![
         tag().map(|t| format!("<{t}>")),
         tag().map(|t| format!("</{t}>")),
         gen::string_from("abcdefghijklmnopqrstuvwxyz ", 0..=10),
         Gen::just("<br/>".to_owned()),
         Gen::just("<!-- c -->".to_owned()),
+        burst(vec!["<br>x", "<hr>", "<b>", "<p>y"]),
+        burst(vec!["</u>", "</em>", "</i>", "</b>", "</font>"]),
     ]);
     gen::concat(piece, 0..=60)
 }
