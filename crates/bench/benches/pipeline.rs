@@ -1,11 +1,12 @@
 //! End-to-end Figure-1 pipeline throughput: page in, populated relational
-//! database out.
+//! database out; and the per-job cost of running a batch on workers.
 
 use rbd_bench::{black_box, Harness};
 use rbd_core::{ExtractorConfig, RecordExtractor};
 use rbd_corpus::{generate_document, sites, Domain};
 use rbd_db::InstanceGenerator;
 use rbd_ontology::domains;
+use rbd_pipeline::run_ordered;
 use rbd_recognizer::Recognizer;
 
 fn bench_full_pipeline(h: &mut Harness) {
@@ -91,10 +92,42 @@ fn bench_integration_ablation(h: &mut Harness) {
     group.finish();
 }
 
+/// Jobs a no-op run through `run_ordered` per iteration.
+const HANDOFF_JOBS: u64 = 10_000;
+
+/// The hand-off alone: `run_ordered` over `HANDOFF_JOBS` inputs with a
+/// runner that does nothing, at 1 and 2 workers, reported as jobs/s. Every
+/// batch document pays this cost (taking the input, `catch_unwind`, the
+/// per-job metrics, filing the result) on top of its extraction. Ungated:
+/// it tracks the core count and the lock's contention, not the code alone.
+fn bench_ordered_handoff(h: &mut Harness) {
+    let mut group = h.group("handoff");
+    group.sample_size(10);
+    for workers in [1, 2] {
+        group.bench_function(&format!("run_ordered_noop_{workers}w"), |b| {
+            b.iter(|| {
+                let run = run_ordered(workers, 0..HANDOFF_JOBS, |x: u64| x, &rbd_trace::NullSink)
+                    .expect("workers start");
+                black_box(run.results.len())
+            });
+        });
+    }
+    group.finish();
+    for workers in [1, 2] {
+        let name = format!("run_ordered_noop_{workers}w");
+        if let Some(ns) = h.median_ns("handoff", &name) {
+            #[allow(clippy::cast_precision_loss)]
+            let jobs_per_s = HANDOFF_JOBS as f64 / (ns / 1e9);
+            eprintln!("handoff/{name}: {jobs_per_s:.0} jobs/s");
+        }
+    }
+}
+
 fn main() {
     let mut h = Harness::new("pipeline");
     bench_full_pipeline(&mut h);
     bench_recognizer(&mut h);
     bench_integration_ablation(&mut h);
+    bench_ordered_handoff(&mut h);
     h.finish();
 }

@@ -166,6 +166,16 @@ impl Harness {
             .and_then(BenchResult::throughput_mib_s)
     }
 
+    /// The median time per iteration of an already-run benchmark, in
+    /// nanoseconds — `None` if it has not run.
+    #[must_use]
+    pub fn median_ns(&self, group: &str, name: &str) -> Option<f64> {
+        self.results
+            .iter()
+            .find(|r| r.group == group && r.name == name)
+            .map(|r| r.stats.median_ns)
+    }
+
     /// Like [`Harness::throughput_mib_s`] but computed from the *fastest*
     /// sample (`min_ns`). Best-case throughput is far less sensitive to
     /// scheduler noise than the median — one clean sample suffices — which

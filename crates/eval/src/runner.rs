@@ -7,14 +7,13 @@ use rbd_corpus::{Domain, GeneratedDoc};
 use rbd_heuristics::{HeuristicKind, Ranking};
 use rbd_json::{Json, ToJson};
 use rbd_pipeline::run_ordered;
-use std::sync::Arc;
 
 /// One [`RecordExtractor`] per domain, each under its domain's ontology so
-/// OM votes. The extractors are compiled once and shared, so cloning a
-/// runner (e.g. into pipeline workers) is cheap.
+/// OM votes. The extractors are compiled once; pipeline workers borrow
+/// them.
 #[derive(Debug, Clone)]
 pub struct HeuristicRunner {
-    extractors: Arc<[RecordExtractor; 4]>,
+    extractors: [RecordExtractor; 4],
 }
 
 impl HeuristicRunner {
@@ -29,18 +28,18 @@ impl HeuristicRunner {
         let extractor =
             |domain: Domain| RecordExtractor::new(config.clone().with_ontology(domain.ontology()));
         Ok(HeuristicRunner {
-            extractors: Arc::new([
+            extractors: [
                 extractor(Domain::Obituaries)?,
                 extractor(Domain::CarAds)?,
                 extractor(Domain::JobAds)?,
                 extractor(Domain::Courses)?,
-            ]),
+            ],
         })
     }
 
     /// The extractor bound to `domain`'s ontology.
     pub fn extractor(&self, domain: Domain) -> &RecordExtractor {
-        let [obituaries, car_ads, job_ads, courses] = &*self.extractors;
+        let [obituaries, car_ads, job_ads, courses] = &self.extractors;
         match domain {
             Domain::Obituaries => obituaries,
             Domain::CarAds => car_ads,
@@ -131,12 +130,11 @@ pub fn evaluate_corpus(
     docs: &[GeneratedDoc],
     jobs: usize,
 ) -> Vec<DocEvaluation> {
-    let worker_runner = runner.clone();
     let run = run_ordered(
         jobs,
-        docs.iter().cloned(),
-        move |doc: GeneratedDoc| evaluate_document(&worker_runner, &doc),
-        Arc::new(rbd_trace::NullSink),
+        docs,
+        |doc: &GeneratedDoc| evaluate_document(runner, doc),
+        &rbd_trace::NullSink,
     );
     // rbd-lint: allow(panic) — an experiment has no partial result to return
     let run = run.unwrap_or_else(|e| panic!("evaluation pool failed: {e}"));

@@ -701,9 +701,10 @@ fn check_observability(path: &Path, a: &Analysis, m: &Model<'_>, findings: &mut 
 }
 
 /// Thread and channel discipline. Threads may only be spawned inside
-/// `crates/pipeline` (any path with a `pipeline` component) — the pool owns
-/// every worker, so shutdown, panic isolation, and metrics aggregation have
-/// exactly one implementation. Unbounded `mpsc::channel` constructs are
+/// `crates/pipeline` (any path with a `pipeline` component), scoped
+/// (`thread::scope`) or not — the pipeline owns every worker, so shutdown,
+/// panic isolation, and metrics aggregation have exactly one
+/// implementation. Unbounded `mpsc::channel` constructs are
 /// denied *everywhere*, the pipeline crate included: its whole design is
 /// bounded queues (`mpsc::sync_channel` and the pipeline's own `Bounded`
 /// pass).
@@ -726,7 +727,9 @@ fn check_concurrency(path: &Path, a: &Analysis, m: &Model<'_>, findings: &mut Ve
         }
         if !in_pipeline
             && m.is_ident(i, "thread")
-            && (m.is_ident(i + 2, "spawn") || m.is_ident(i + 2, "Builder"))
+            && (m.is_ident(i + 2, "spawn")
+                || m.is_ident(i + 2, "Builder")
+                || m.is_ident(i + 2, "scope"))
         {
             push(
                 findings,

@@ -148,6 +148,18 @@ fn concurrency_fixture_denies_spawn_and_unbounded_channel() {
 }
 
 #[test]
+fn scoped_spawn_fixture_denies() {
+    assert_denies("violations/scoped_spawn.rs", Rule::Concurrency);
+}
+
+#[test]
+fn pipeline_scoped_workers_fixture_is_clean() {
+    let findings =
+        lint_path(&fixture("clean/pipeline/scoped_workers.rs")).expect("fixture readable");
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
 fn bounded_concurrency_fixture_is_clean() {
     let findings = lint_path(&fixture("clean/concurrency_bounded.rs")).expect("fixture readable");
     assert!(findings.is_empty(), "{findings:?}");

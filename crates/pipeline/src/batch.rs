@@ -1,5 +1,5 @@
-//! Batch extraction: a corpus of documents through one pool, out in
-//! deterministic order.
+//! Batch extraction: a corpus of documents through the workers of
+//! [`run_ordered`], out in deterministic order.
 //!
 //! [`run_batch`] runs one governed extraction per document (the
 //! extractor's [`Limits`](rbd_core::Limits) deadline still applies to each
@@ -14,11 +14,11 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Batch-run sizing. The queue holds `2 × jobs` documents.
+/// Batch-run sizing.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
     /// Worker threads (the CLI's `--jobs`). Zero is rejected by
-    /// [`run_batch`] just as [`Pool::new`](crate::Pool::new) rejects it.
+    /// [`run_batch`] with [`PoolError::ZeroWorkers`].
     pub jobs: usize,
 }
 
@@ -35,8 +35,8 @@ impl BatchConfig {
 pub enum BatchError {
     /// The extractor ran and failed (the same errors a serial run yields).
     Discovery(DiscoveryError),
-    /// The extraction panicked; the pool caught it and the batch carried
-    /// on.
+    /// The extraction panicked; its worker caught it and the batch
+    /// carried on.
     Panicked(String),
 }
 
@@ -58,7 +58,7 @@ pub struct BatchResult {
     pub doc_id: u64,
     /// Which worker ran the document.
     pub worker: usize,
-    /// Time between the document's submission and a worker picking it up.
+    /// Time the worker waited to take the document from the input.
     pub queue_wait: Duration,
     /// Time the extraction took.
     pub run_time: Duration,
@@ -85,12 +85,12 @@ impl BatchReport {
     }
 }
 
-/// Runs every document through a fresh pool of `config.jobs` workers and
-/// returns the results sorted by `doc_id`.
+/// Runs every document through `config.jobs` workers and returns the
+/// results sorted by `doc_id`.
 ///
-/// `extractor` is cloned into the pool (its configuration, ontology rules,
-/// and limits travel with it). `sink` observes the run: submission and
-/// panic counters from the pool, and the full per-document audit trail
+/// The workers borrow `extractor` (its configuration, ontology rules, and
+/// limits) for the length of the call. `sink` observes the run: job and
+/// panic counters from the workers, and the full per-document audit trail
 /// whenever the sink is enabled.
 pub fn run_batch(
     extractor: &RecordExtractor,
@@ -99,41 +99,34 @@ pub fn run_batch(
     sink: &Arc<dyn TraceSink>,
 ) -> Result<BatchReport, PoolError> {
     let doc_ids: Vec<u64> = docs.iter().map(|(doc_id, _)| *doc_id).collect();
-    let runner = {
-        let extractor = extractor.clone();
-        let sink = Arc::clone(sink);
-        move |html: String| {
-            // Each document is one trace: a fresh id plus a root span,
-            // stamped onto every stage span the extraction records, so a
-            // `--trace` dump separates into per-document span trees. The
-            // disabled path (metrics-only batch runs) skips all of it.
-            let (scoped, root) = if sink.enabled() {
-                let trace = rbd_trace::TraceId::generate();
-                let root = rbd_trace::Span::start("batch:doc").with_context(trace, None);
-                (
-                    Some(rbd_trace::ScopedSink::new(
-                        sink.as_ref(),
-                        trace,
-                        Some(root.id()),
-                    )),
-                    Some(root),
-                )
-            } else {
-                (None, None)
-            };
-            let doc_sink: &dyn TraceSink = match &scoped {
-                Some(s) => s,
-                None => sink.as_ref(),
-            };
-            let result = extractor.extract_records_traced(&html, doc_sink);
-            if let Some(root) = root {
-                root.finish(sink.as_ref());
-            }
-            result
+    let sink = sink.as_ref();
+    let runner = |html: String| {
+        // Each document is one trace: a fresh id plus a root span, stamped
+        // onto every stage span the extraction records, so a `--trace` dump
+        // separates into per-document span trees. The disabled path
+        // (metrics-only batch runs) skips all of it.
+        let (scoped, root) = if sink.enabled() {
+            let trace = rbd_trace::TraceId::generate();
+            let root = rbd_trace::Span::start("batch:doc").with_context(trace, None);
+            (
+                Some(rbd_trace::ScopedSink::new(sink, trace, Some(root.id()))),
+                Some(root),
+            )
+        } else {
+            (None, None)
+        };
+        let doc_sink: &dyn TraceSink = match &scoped {
+            Some(s) => s,
+            None => sink,
+        };
+        let result = extractor.extract_records_traced(&html, doc_sink);
+        if let Some(root) = root {
+            root.finish(sink);
         }
+        result
     };
     let htmls = docs.into_iter().map(|(_, html)| html);
-    let run = run_ordered(config.jobs, htmls, runner, Arc::clone(sink))?;
+    let run = run_ordered(config.jobs, htmls, runner, sink)?;
     let mut results: Vec<BatchResult> = doc_ids
         .into_iter()
         .zip(run.results)

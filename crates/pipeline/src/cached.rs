@@ -5,7 +5,7 @@
 //! fingerprint) before any extraction work, documents whose hash is
 //! already committed in the store are served from disk without touching
 //! tokenize → heuristics → recognize at all, and only the misses go
-//! through the worker pool. Fresh extractions are appended to the store
+//! through the batch workers. Fresh extractions are appended to the store
 //! in one crash-safe commit at the end of the run, so the next batch over
 //! the same corpus is all hits.
 //!
@@ -13,7 +13,7 @@
 //!
 //! * a store **read** error (a committed frame that no longer passes its
 //!   checksum, say) degrades that document to a miss — it re-runs through
-//!   the pool and the typed [`StoreError`] travels on the result so
+//!   the workers and the typed [`StoreError`] travels on the result so
 //!   `rbd batch --json` can report it; nothing panics on a corrupt file;
 //! * a store **write** error at commit time loses only the cache (the
 //!   extractions themselves are already in hand and are still returned);
@@ -96,9 +96,9 @@ pub struct CachedBatchReport {
 ///
 /// # Errors
 ///
-/// Returns the pool construction error (`jobs == 0`) — per-document and
-/// per-store failures are reported in the [`CachedBatchReport`], never as
-/// an `Err`.
+/// Returns the worker error ([`PoolError::ZeroWorkers`] for `jobs == 0`)
+/// — per-document and per-store failures are reported in the
+/// [`CachedBatchReport`], never as an `Err`.
 pub fn run_batch_stored(
     extractor: &RecordExtractor,
     docs: Vec<(u64, Option<String>, String)>,

@@ -1,5 +1,5 @@
 //! A bounded multi-producer multi-consumer channel built from one `Mutex`
-//! and two `Condvar`s — the only synchronization primitives the standard
+//! and one `Condvar` — the only synchronization primitives the standard
 //! library offers that compose into a capacity-bounded queue without
 //! external crates.
 //!
@@ -13,12 +13,13 @@
 //!    capacity is a first-class, visible limit (the `concurrency` rule in
 //!    `rbd-lint` denies unbounded channel constructs for the same reason).
 //!
-//! The design is the textbook monitor: producers wait on `not_full`,
-//! consumers wait on `not_empty`, and every state transition notifies the
-//! waiters it could have unblocked. Closing is sticky and drains cleanly —
-//! `recv` keeps returning queued items after `close()` and reports
-//! disconnection only once the queue is empty, so no accepted item is ever
-//! lost to a shutdown race.
+//! The design is the textbook monitor, half of it: producers never wait —
+//! a full channel refuses the item ([`Bounded::try_send`]) and the caller
+//! decides — while consumers wait on `not_empty`, which every send and the
+//! close notify. Closing is sticky and drains cleanly — `recv` keeps
+//! returning queued items after `close()` and reports disconnection only
+//! once the queue is empty, so no accepted item is ever lost to a shutdown
+//! race.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -35,8 +36,6 @@ struct State<T> {
 #[derive(Debug)]
 pub struct Bounded<T> {
     state: Mutex<State<T>>,
-    /// Signalled when space frees up (a `recv`) or the channel closes.
-    not_full: Condvar,
     /// Signalled when an item arrives (a `send`) or the channel closes.
     not_empty: Condvar,
     capacity: usize,
@@ -64,7 +63,6 @@ impl<T> Bounded<T> {
                 queue: VecDeque::with_capacity(capacity),
                 closed: false,
             }),
-            not_full: Condvar::new(),
             not_empty: Condvar::new(),
             capacity,
         }
@@ -75,28 +73,6 @@ impl<T> Bounded<T> {
     #[must_use]
     pub fn len(&self) -> usize {
         self.lock().queue.len()
-    }
-
-    /// Blocks until the value is queued, returning it back on a closed
-    /// channel. This is the backpressure path: a full channel makes the
-    /// producer wait, it never makes the queue grow.
-    pub fn send(&self, value: T) -> Result<(), T> {
-        let mut state = self.lock();
-        loop {
-            if state.closed {
-                return Err(value);
-            }
-            if state.queue.len() < self.capacity {
-                state.queue.push_back(value);
-                drop(state);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            state = self
-                .not_full
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
     }
 
     /// Queues the value only if there is room right now.
@@ -120,8 +96,6 @@ impl<T> Bounded<T> {
         let mut state = self.lock();
         loop {
             if let Some(value) = state.queue.pop_front() {
-                drop(state);
-                self.not_full.notify_one();
                 return Some(value);
             }
             if state.closed {
@@ -134,27 +108,13 @@ impl<T> Bounded<T> {
         }
     }
 
-    /// Takes an item only if one is queued right now. `None` is ambiguous
-    /// between "empty" and "closed" by design; [`Bounded::recv`] tells
-    /// them apart.
-    pub fn try_recv(&self) -> Option<T> {
-        let mut state = self.lock();
-        let value = state.queue.pop_front();
-        drop(state);
-        if value.is_some() {
-            self.not_full.notify_one();
-        }
-        value
-    }
-
     /// Closes the channel: future sends fail, queued items remain
-    /// receivable, and every blocked sender and receiver wakes up to
-    /// observe the new state.
+    /// receivable, and every blocked receiver wakes up to observe the new
+    /// state.
     pub fn close(&self) {
         let mut state = self.lock();
         state.closed = true;
         drop(state);
-        self.not_full.notify_all();
         self.not_empty.notify_all();
     }
 
@@ -177,7 +137,7 @@ mod tests {
     fn fifo_within_capacity() {
         let ch = Bounded::new(4);
         for i in 0..4 {
-            ch.send(i).expect("open channel");
+            ch.try_send(i).expect("room");
         }
         assert_eq!(ch.len(), 4);
         assert_eq!(
@@ -195,14 +155,14 @@ mod tests {
         ch.close();
         assert_eq!(ch.try_send(3), Err(TrySendError::Closed(3)));
         // The queued item survives the close.
-        assert_eq!(ch.try_recv(), Some(1));
+        assert_eq!(ch.recv(), Some(1));
         assert_eq!(ch.recv(), None);
     }
 
     #[test]
     fn zero_capacity_rounds_up_to_one() {
         let ch = Bounded::new(0);
-        ch.send(7).expect("capacity one, not zero");
+        ch.try_send(7).expect("capacity one, not zero");
         assert_eq!(ch.try_send(8), Err(TrySendError::Full(8)), "one, not more");
         assert_eq!(ch.recv(), Some(7));
     }
@@ -210,28 +170,13 @@ mod tests {
     #[test]
     fn close_drains_cleanly() {
         let ch = Bounded::new(8);
-        ch.send("a").expect("open");
-        ch.send("b").expect("open");
+        ch.try_send("a").expect("open");
+        ch.try_send("b").expect("open");
         ch.close();
-        assert_eq!(ch.send("c"), Err("c"));
+        assert_eq!(ch.try_send("c"), Err(TrySendError::Closed("c")));
         assert_eq!(ch.recv(), Some("a"));
         assert_eq!(ch.recv(), Some("b"));
         assert_eq!(ch.recv(), None, "closed and drained");
-    }
-
-    #[test]
-    fn blocked_sender_unblocks_on_recv() {
-        let ch = Arc::new(Bounded::new(1));
-        ch.send(1).expect("open");
-        let producer = {
-            let ch = Arc::clone(&ch);
-            thread::spawn(move || ch.send(2))
-        };
-        // The producer is (about to be) parked on not_full; receiving must
-        // wake it.
-        assert_eq!(ch.recv(), Some(1));
-        producer.join().expect("no panic").expect("send succeeded");
-        assert_eq!(ch.recv(), Some(2));
     }
 
     #[test]
@@ -255,7 +200,12 @@ mod tests {
             let ch = Arc::clone(&ch);
             handles.push(thread::spawn(move || {
                 for i in 0..PER_PRODUCER {
-                    ch.send(p * PER_PRODUCER + i).expect("open");
+                    let mut item = p * PER_PRODUCER + i;
+                    // A full channel refuses; the producer retries.
+                    while let Err(TrySendError::Full(back)) = ch.try_send(item) {
+                        item = back;
+                        thread::yield_now();
+                    }
                 }
             }));
         }

@@ -6,21 +6,25 @@
 //! built on: bounded memory, explicit degradation, deterministic output,
 //! and zero external dependencies.
 //!
-//! Three layers, bottom up:
+//! Two ways to run jobs, sharing one job body (`catch_unwind` per job,
+//! metrics into per-worker registries merged when the workers are done,
+//! via `Registry::merge`, so the hot path shares no metric lock):
 //!
-//! * `channel::Bounded` (crate-private) — a bounded MPMC channel from one
-//!   `Mutex` and two `Condvar`s. Capacity is a hard, visible limit: a full
-//!   channel blocks (or refuses) the producer, it never grows. The
-//!   `concurrency` rule in `rbd-lint` denies unbounded channel constructs
-//!   everywhere for the same reason.
-//! * [`pool::Pool`] — a fixed-size worker pool: `N` workers block on one
-//!   bounded FIFO injector, a full queue is the only refusal
-//!   ([`TrySubmitError::QueueFull`]), and panics are isolated per job via
-//!   `catch_unwind`. Workers record metrics into private registries
-//!   merged at shutdown (`Registry::merge`), so the hot path shares no
-//!   metric lock. [`run_ordered`] is the one submit/drain loop: it runs a
-//!   list of inputs through a fresh pool and returns the completions in
-//!   input order.
+//! * [`run_ordered`] — a finite batch. `N` scoped workers each take the
+//!   next input from one mutex around the input iterator and file the
+//!   result in that input's slot; the caller joins them and gets one
+//!   result per input, in input order. Inputs are taken lazily (at most
+//!   `N` taken and unfinished at once), and the runner may borrow the
+//!   caller's state.
+//! * [`Pool`] — the long-lived workers of `rbd serve`: `N` threads block
+//!   on one bounded FIFO injector (`channel::Bounded`, crate-private), a
+//!   full queue is the only refusal ([`TrySubmitError::QueueFull`]), and
+//!   each job routes its own result. Capacity is a hard, visible limit:
+//!   the `concurrency` rule in `rbd-lint` denies unbounded channel
+//!   constructs everywhere for the same reason.
+//!
+//! On top of [`run_ordered`]:
+//!
 //! * [`batch::run_batch`] — one call that runs a corpus of `(doc_id,
 //!   html)` documents through [`run_ordered`] on `N` workers and returns
 //!   per-document results **sorted by `doc_id`**: a concurrent batch is
@@ -28,12 +32,12 @@
 //!   deterministic per-document limits), which the threaded arm of the
 //!   chaos suite asserts end to end. [`cached::run_batch_stored`] layers
 //!   the persistent extraction cache (`rbd-store`, DESIGN.md §14) over
-//!   the same pool: workers hash first and only extract on a cache miss,
-//!   fresh results commit to the store in one crash-safe batch, and each
-//!   result reports its [`CacheStatus`].
+//!   the same workers: documents are hashed first and only a cache miss
+//!   is extracted, fresh results commit to the store in one crash-safe
+//!   batch, and each result reports its [`CacheStatus`].
 //!
 //! This crate is the only place in the workspace allowed to spawn
-//! threads; the `concurrency` lint rule keeps it that way.
+//! threads, scoped or not; the `concurrency` lint rule keeps it that way.
 //!
 //! ## Example
 //!

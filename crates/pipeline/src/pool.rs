@@ -1,39 +1,33 @@
-//! The fixed-size worker pool.
+//! Worker threads, in the two shapes the workspace needs.
 //!
-//! Topology: one bounded **injector** channel feeds `N` worker threads,
-//! each blocking on it and taking the oldest job first. Completed jobs
-//! leave through one bounded **completion** channel as [`JobResult`]s
-//! carrying the job id, the worker that ran it, and its queue-wait /
-//! run-time split. [`run_ordered`] is the one submitter loop over that
-//! channel pair: it hands back one completion per input, in input order.
+//! * [`run_ordered`] runs a **finite batch**: `N` scoped workers pull
+//!   `(index, input)` pairs from one mutex around the input iterator, run
+//!   each through the runner, and file the [`JobResult`] in slot `index`.
+//!   The caller joins the workers and gets one result per input, in input
+//!   order. Inputs are taken lazily, so at most `N` are taken and not yet
+//!   finished at any moment, and the runner may borrow the caller's state.
+//! * [`Pool`] serves an **open-ended stream** (`rbd serve`'s connections):
+//!   `N` long-lived workers block on one bounded FIFO injector, and each
+//!   job routes its own result. [`Pool::try_submit`] returns
+//!   [`TrySubmitError::QueueFull`] on a full injector: nothing grows
+//!   without bound, and a full queue is the only refusal.
 //!
-//! Jobs are whole documents — milliseconds of extraction each — so one
-//! shared queue whose mutex is touched once per job is nowhere near the
-//! critical path, and documents carry no state from one to the next that
-//! per-worker queues could keep warm.
-//!
-//! Two policies are explicit rather than emergent:
-//!
-//! * **Backpressure** — [`Pool::try_submit`] returns
-//!   [`TrySubmitError::QueueFull`] on a full injector. Nothing in the pool
-//!   ever grows without bound, and a full queue is the only refusal.
-//! * **Panic isolation** — the runner executes under
-//!   [`std::panic::catch_unwind`]; a panicking job becomes a
-//!   [`JobPanic`] in its own completion record and the worker carries on.
-//!   The pool cannot be poisoned by its payloads.
+//! Both run every job through the same body, [`run_job`]: the runner
+//! executes under [`std::panic::catch_unwind`], so a panicking job becomes
+//! a [`JobPanic`] and its worker carries on, and the per-job metrics land
+//! in the worker's private registry, merged once the workers are done.
 
 use crate::channel::{Bounded, TrySendError};
 use rbd_trace::{Registry, RegistrySnapshot, TraceSink};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A job the pool caught panicking. The panic payload is flattened to a
-/// message; the job's slot in the completion stream is otherwise normal —
-/// one submission, one result, panic or not.
+/// A job the worker caught panicking. The panic payload is flattened to a
+/// message; the job's result is otherwise normal — one input, one result,
+/// panic or not.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobPanic {
     /// The panic payload, stringified (`&str` and `String` payloads pass
@@ -49,15 +43,13 @@ impl fmt::Display for JobPanic {
 
 impl std::error::Error for JobPanic {}
 
-/// One completed job, as delivered on the completion channel.
+/// One finished job.
 #[derive(Debug, Clone)]
 pub struct JobResult<R> {
-    /// The id [`Pool::try_submit`] returned for this job. Ids are assigned
-    /// in submission order, so sorting results by id restores it.
-    pub job_id: u64,
     /// Index of the worker that ran the job (`0..workers`).
     pub worker: usize,
-    /// Time between submission and the worker picking the job up.
+    /// Time the worker waited for the job: taking the input in
+    /// [`run_ordered`], time in the injector in a [`Pool`].
     pub queue_wait: Duration,
     /// Time the runner spent on the job.
     pub run_time: Duration,
@@ -65,27 +57,17 @@ pub struct JobResult<R> {
     pub output: Result<R, JobPanic>,
 }
 
-/// An internal unit of work: payload plus the bookkeeping the completion
-/// record needs.
-#[derive(Debug)]
-struct Job<T> {
-    id: u64,
-    payload: T,
-    submitted: Instant,
-}
-
-/// Pool failures.
+/// Worker failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PoolError {
-    /// `workers == 0`: a pool with no workers can accept jobs but never
-    /// run one — every submission would deadlock or rot in the queue, so
-    /// the configuration is rejected outright.
+    /// `workers == 0`: no worker would ever run a job, so the
+    /// configuration is rejected outright.
     ZeroWorkers,
     /// The OS refused to spawn a worker thread.
     Spawn(String),
-    /// [`run_ordered`] ended with this many inputs never completed: a
-    /// worker thread died outside a job (job panics are caught and
-    /// reported per job, so this should never happen).
+    /// [`run_ordered`] ended with this many taken inputs never finished
+    /// (job panics are caught and reported per job, so this should never
+    /// happen).
     LostJobs(usize),
 }
 
@@ -101,11 +83,152 @@ impl fmt::Display for PoolError {
 
 impl std::error::Error for PoolError {}
 
+/// Every input's result, in input order, plus the merged worker metrics —
+/// what [`run_ordered`] returns.
+#[derive(Debug)]
+pub struct OrderedRun<R> {
+    /// One result per input; `results[i]` belongs to input `i`.
+    pub results: Vec<JobResult<R>>,
+    /// All workers' private registries, merged: job counts, panics,
+    /// `pipeline_queue_wait` / `pipeline_run_time` histograms.
+    pub metrics: RegistrySnapshot,
+}
+
+/// What the workers of [`run_ordered`] share: the inputs not yet taken
+/// and one slot per input taken so far. One lock per job files the
+/// worker's last result and takes its next input.
+struct Intake<I, R> {
+    /// `None` once the inputs ran out, or once spawning failed so that
+    /// the workers already running stop.
+    inputs: Option<I>,
+    slots: Vec<Option<JobResult<R>>>,
+}
+
+/// Runs every input through `runner` on `workers` scoped threads and
+/// returns one result per input, in input order.
+///
+/// Each worker takes the next input itself, so no thread sits between
+/// the inputs and the workers, and at most `workers` inputs are taken and
+/// not yet finished. A panic in a job is caught and reported in its
+/// result; a panic in the input iterator reaches the caller, as it would
+/// in a serial loop. `sink` counts each job (`pipeline_jobs_submitted`)
+/// and each panic.
+///
+/// # Errors
+///
+/// [`PoolError::ZeroWorkers`] or [`PoolError::Spawn`] when the workers
+/// cannot start, and [`PoolError::LostJobs`] if some taken input never
+/// finished.
+pub fn run_ordered<I, R>(
+    workers: usize,
+    inputs: I,
+    runner: impl Fn(I::Item) -> R + Sync,
+    sink: &dyn TraceSink,
+) -> Result<OrderedRun<R>, PoolError>
+where
+    I: IntoIterator,
+    I::IntoIter: Send,
+    R: Send,
+{
+    if workers == 0 {
+        return Err(PoolError::ZeroWorkers);
+    }
+    let intake = Mutex::new(Intake {
+        inputs: Some(inputs.into_iter().enumerate()),
+        slots: Vec::new(),
+    });
+    let mut metrics = Registry::new();
+    let mut spawn_error = None;
+    std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(workers);
+        for worker in 0..workers {
+            let (intake, runner) = (&intake, &runner);
+            let spawned = std::thread::Builder::new()
+                .name(format!("rbd-worker-{worker}"))
+                .spawn_scoped(scope, move || ordered_worker(intake, runner, sink, worker));
+            match spawned {
+                Ok(handle) => handles.push(handle),
+                Err(e) => {
+                    lock(intake).inputs = None;
+                    spawn_error = Some(PoolError::Spawn(e.to_string()));
+                    break;
+                }
+            }
+        }
+        for handle in handles {
+            match handle.join() {
+                Ok(snapshot) => metrics.merge(&snapshot),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    });
+    if let Some(e) = spawn_error {
+        return Err(e);
+    }
+    let slots = intake
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .slots;
+    let lost = slots.iter().filter(|slot| slot.is_none()).count();
+    if lost > 0 {
+        return Err(PoolError::LostJobs(lost));
+    }
+    Ok(OrderedRun {
+        results: slots.into_iter().flatten().collect(),
+        metrics: metrics.typed_snapshot(),
+    })
+}
+
+/// One [`run_ordered`] worker: file the last result, take the next input,
+/// run it, repeat until the inputs run out. Returns its private metrics.
+fn ordered_worker<I, T, R>(
+    intake: &Mutex<Intake<I, R>>,
+    runner: &impl Fn(T) -> R,
+    sink: &dyn TraceSink,
+    worker: usize,
+) -> RegistrySnapshot
+where
+    I: Iterator<Item = (usize, T)>,
+{
+    let metrics = Registry::new();
+    let mut finished: Option<(usize, JobResult<R>)> = None;
+    loop {
+        let waiting = Instant::now();
+        let taken = {
+            let mut intake = lock(intake);
+            if let Some((index, result)) = finished.take() {
+                if let Some(slot) = intake.slots.get_mut(index) {
+                    *slot = Some(result);
+                }
+            }
+            let taken = intake.inputs.as_mut().and_then(Iterator::next);
+            if taken.is_some() {
+                intake.slots.push(None);
+            } else {
+                intake.inputs = None;
+            }
+            taken
+        };
+        let Some((index, input)) = taken else {
+            break;
+        };
+        let result = run_job(runner, input, waiting.elapsed(), &metrics, sink, worker);
+        finished = Some((index, result));
+    }
+    metrics.typed_snapshot()
+}
+
+/// Locks the intake, recovering from poisoning: the input iterator is the
+/// only caller code that runs under the lock, and its panic is re-raised
+/// on the caller once the workers are joined.
+fn lock<I, R>(intake: &Mutex<Intake<I, R>>) -> std::sync::MutexGuard<'_, Intake<I, R>> {
+    intake.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Why a submission failed. The payload always comes back.
 #[derive(Debug, PartialEq, Eq)]
 pub enum TrySubmitError<T> {
-    /// The injector is at capacity — backpressure; try again after
-    /// draining a completion.
+    /// The injector is at capacity — backpressure.
     QueueFull(T),
     /// The pool has been shut down.
     Closed(T),
@@ -116,210 +239,116 @@ pub enum TrySubmitError<T> {
 pub struct PoolConfig {
     /// Number of worker threads. Must be at least one.
     pub workers: usize,
-    /// Injector capacity in jobs; zero is rounded up to one. The
-    /// completion channel holds `queue_capacity + workers`, enough for
-    /// every queued and in-flight job to complete without the submitter
-    /// draining.
+    /// Injector capacity in jobs; zero is rounded up to one.
     pub queue_capacity: usize,
-    /// `true` (the default) delivers a [`JobResult`] per job on the
-    /// completion channel. `false` is **detached** mode for jobs that route
-    /// their own results (e.g. a network handler writing its response to
-    /// the connection it owns): no completion is sent, so nothing wedges
-    /// when nobody drains, and per-job metrics still land in the worker
-    /// registries merged at shutdown.
-    pub deliver_completions: bool,
 }
 
-impl PoolConfig {
-    /// A config with `workers` threads and a `2 × workers` injector.
-    #[must_use]
-    pub fn with_workers(workers: usize) -> Self {
-        PoolConfig {
-            workers,
-            queue_capacity: workers.saturating_mul(2).max(1),
-            deliver_completions: true,
-        }
-    }
-
-    /// Sets the injector capacity.
-    #[must_use]
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity;
-        self
-    }
-
-    /// Switches the pool to detached mode: jobs produce no [`JobResult`]s
-    /// on the completion channel (see
-    /// [`PoolConfig::deliver_completions`]).
-    #[must_use]
-    pub fn detached(mut self) -> Self {
-        self.deliver_completions = false;
-        self
-    }
-}
-
-/// Everything the worker threads share.
-struct Shared<T, R> {
-    injector: Bounded<Job<T>>,
-    completions: Bounded<JobResult<R>>,
-    runner: Box<dyn Fn(T) -> R + Send + Sync>,
-    sink: Arc<dyn TraceSink>,
-    deliver_completions: bool,
-}
-
-impl<T, R> fmt::Debug for Shared<T, R> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Shared")
-            .field("queued", &self.injector.len())
-            .finish_non_exhaustive()
-    }
-}
-
-/// What [`Pool::shutdown`] hands back after the last worker exits.
+/// A job in the injector: the payload and when it was submitted.
 #[derive(Debug)]
-pub struct ShutdownReport<R> {
-    /// Completions the submitter had not received before shutdown, in
-    /// completion order. Together with what was already received, every
-    /// admitted job appears exactly once. Always empty in detached mode.
-    pub unclaimed: Vec<JobResult<R>>,
-    /// All workers' private metric registries, merged: job counts, panics,
-    /// queue-wait and run-time histograms. Workers abandoned at a drain
-    /// deadline could not contribute theirs.
+struct Job<T> {
+    payload: T,
+    submitted: Instant,
+}
+
+/// What [`Pool::shutdown_within`] hands back.
+#[derive(Debug)]
+pub struct ShutdownReport {
+    /// All finished workers' private metric registries, merged: job
+    /// counts, panics, queue-wait and run-time histograms. Abandoned
+    /// workers could not contribute theirs.
     pub metrics: RegistrySnapshot,
     /// Workers that died outside a job (should always be zero — job
-    /// panics are caught and reported per job).
+    /// panics are caught and counted per job).
     pub worker_panics: usize,
-    /// Workers still running when a [`Pool::shutdown_within`] drain
-    /// deadline expired. Their threads keep finishing in the background
-    /// (threads cannot be killed), but the pool stopped waiting for them.
-    /// Always zero after a plain [`Pool::shutdown`].
+    /// Workers still running when the drain deadline expired. Their
+    /// threads keep finishing in the background (threads cannot be
+    /// killed), but the pool stopped waiting for them.
     pub abandoned: usize,
 }
 
-/// The worker pool. `T` is the job payload, `R` the runner's output.
+/// The long-lived worker pool. `T` is the job payload; each job routes
+/// its own result (a network handler writes to the connection it owns).
 #[derive(Debug)]
-pub struct Pool<T, R> {
-    shared: Arc<Shared<T, R>>,
+pub struct Pool<T> {
+    injector: Arc<Bounded<Job<T>>>,
     handles: Vec<JoinHandle<RegistrySnapshot>>,
-    next_id: AtomicU64,
 }
 
-impl<T: Send + 'static, R: Send + 'static> Pool<T, R> {
-    /// Spawns the workers. `runner` executes each job. `sink` receives the
-    /// submission and panic counters; per-job metrics go to private
-    /// per-worker registries merged in [`Pool::shutdown`].
+impl<T: Send + 'static> Pool<T> {
+    /// Spawns the workers, each taking the oldest queued job, running it,
+    /// and repeating until the injector is closed and drained. `runner`
+    /// executes each job. `sink` receives the job and panic counters;
+    /// per-job metrics go to private per-worker registries merged in
+    /// [`Pool::shutdown_within`].
     pub fn new(
         config: PoolConfig,
-        runner: impl Fn(T) -> R + Send + Sync + 'static,
-        sink: Arc<dyn TraceSink>,
+        runner: impl Fn(T) + Send + Sync + 'static,
+        sink: &Arc<dyn TraceSink>,
     ) -> Result<Self, PoolError> {
-        let PoolConfig {
-            workers,
-            queue_capacity,
-            deliver_completions,
-        } = config;
-        if workers == 0 {
+        if config.workers == 0 {
             return Err(PoolError::ZeroWorkers);
         }
-        let shared = Arc::new(Shared {
-            injector: Bounded::new(queue_capacity),
-            completions: Bounded::new(queue_capacity.max(1) + workers),
-            runner: Box::new(runner),
-            sink,
-            deliver_completions,
-        });
-        let mut handles = Vec::with_capacity(workers);
-        for index in 0..workers {
-            let worker_shared = Arc::clone(&shared);
+        let injector = Arc::new(Bounded::new(config.queue_capacity));
+        let runner = Arc::new(runner);
+        let mut handles = Vec::with_capacity(config.workers);
+        for worker in 0..config.workers {
+            let (queue, runner, sink) =
+                (Arc::clone(&injector), Arc::clone(&runner), Arc::clone(sink));
             let spawned = std::thread::Builder::new()
-                .name(format!("rbd-worker-{index}"))
-                .spawn(move || worker_loop(&worker_shared, index));
+                .name(format!("rbd-worker-{worker}"))
+                .spawn(move || {
+                    let metrics = Registry::new();
+                    while let Some(Job { payload, submitted }) = queue.recv() {
+                        let queue_wait = submitted.elapsed();
+                        run_job(&*runner, payload, queue_wait, &metrics, &*sink, worker);
+                    }
+                    metrics.typed_snapshot()
+                });
             match spawned {
                 Ok(handle) => handles.push(handle),
                 Err(e) => {
                     // Unwind: release the workers already running.
-                    shared.injector.close();
-                    shared.completions.close();
+                    injector.close();
                     return Err(PoolError::Spawn(e.to_string()));
                 }
             }
         }
-        Ok(Pool {
-            shared,
-            handles,
-            next_id: AtomicU64::new(0),
-        })
+        Ok(Pool { injector, handles })
     }
 
     /// Jobs waiting in the injector right now (excludes running jobs).
     #[must_use]
     pub fn queue_depth(&self) -> usize {
-        self.shared.injector.len()
+        self.injector.len()
     }
 
-    /// Submits a job only if the injector has room right now, returning
-    /// the job's id — ids are assigned in submission order, so sorting
-    /// completions by id reproduces it. [`TrySubmitError::QueueFull`] is
-    /// the backpressure signal.
-    ///
-    /// Backpressure is end to end: the completion channel is bounded too,
-    /// so a submitter that never drains results stops being able to
-    /// submit once `queue_capacity + workers` results are outstanding.
-    /// [`run_ordered`] drains one completion per refusal.
-    pub fn try_submit(&self, payload: T) -> Result<u64, TrySubmitError<T>> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+    /// Submits a job only if the injector has room right now.
+    /// [`TrySubmitError::QueueFull`] is the backpressure signal.
+    pub fn try_submit(&self, payload: T) -> Result<(), TrySubmitError<T>> {
         let job = Job {
-            id,
             payload,
             submitted: Instant::now(),
         };
-        match self.shared.injector.try_send(job) {
-            Ok(()) => {
-                self.shared.sink.add("pipeline_jobs_submitted", 1);
-                Ok(id)
-            }
-            Err(TrySendError::Full(job)) => Err(TrySubmitError::QueueFull(job.payload)),
-            Err(TrySendError::Closed(job)) => Err(TrySubmitError::Closed(job.payload)),
-        }
+        self.injector.try_send(job).map_err(|e| match e {
+            TrySendError::Full(job) => TrySubmitError::QueueFull(job.payload),
+            TrySendError::Closed(job) => TrySubmitError::Closed(job.payload),
+        })
     }
 
-    /// Blocks for the next completion; `None` once the pool is shut down
-    /// and the completion channel drained.
-    pub fn recv_result(&self) -> Option<JobResult<R>> {
-        self.shared.completions.recv()
-    }
-
-    /// Closes the injector, lets every already-admitted job finish, joins
-    /// the workers, and returns whatever completions the submitter had
-    /// not drained. Completions are drained *while* joining, so shutdown
-    /// cannot deadlock on a full completion channel — the clean-drain
-    /// guarantee the chaos suite asserts.
-    pub fn shutdown(self) -> ShutdownReport<R> {
-        self.drain(None)
-    }
-
-    /// [`Pool::shutdown`] with a drain deadline: already-admitted jobs get
-    /// up to `deadline` of wall clock to finish; workers still running
-    /// when it expires are *abandoned* — their `JoinHandle`s dropped, the
-    /// channels closed so they exit as soon as their current job returns —
-    /// and counted in [`ShutdownReport::abandoned`]. This is the graceful-
-    /// shutdown primitive for a long-lived service: drain in-flight work,
-    /// but never let one wedged request hold the process open forever.
-    pub fn shutdown_within(self, deadline: Duration) -> ShutdownReport<R> {
-        self.drain(Some(deadline))
-    }
-
-    fn drain(mut self, deadline: Option<Duration>) -> ShutdownReport<R> {
-        self.shared.injector.close();
+    /// Closes the injector and gives the already-admitted jobs up to
+    /// `deadline` of wall clock to finish; workers still running when it
+    /// expires are *abandoned* — their `JoinHandle`s dropped, so they exit
+    /// in the background once the queue is drained — and counted in
+    /// [`ShutdownReport::abandoned`]. This is the graceful-shutdown
+    /// primitive for a long-lived service: drain in-flight work, but never
+    /// let one wedged request hold the process open forever.
+    pub fn shutdown_within(mut self, deadline: Duration) -> ShutdownReport {
+        self.injector.close();
         let started = Instant::now();
         let mut metrics = Registry::new();
-        let mut unclaimed = Vec::new();
         let mut worker_panics = 0usize;
         let mut handles = std::mem::take(&mut self.handles);
         loop {
-            while let Some(result) = self.shared.completions.try_recv() {
-                unclaimed.push(result);
-            }
             let mut still_running = Vec::with_capacity(handles.len());
             for handle in handles {
                 if handle.is_finished() {
@@ -332,153 +361,65 @@ impl<T: Send + 'static, R: Send + 'static> Pool<T, R> {
                 }
             }
             handles = still_running;
-            if handles.is_empty() {
-                break;
-            }
-            if deadline.is_some_and(|d| started.elapsed() >= d) {
+            if handles.is_empty() || started.elapsed() >= deadline {
                 break;
             }
             std::thread::sleep(Duration::from_micros(200));
         }
-        let abandoned = handles.len();
-        // Dropping the surviving handles detaches the threads; closing the
-        // channels turns their next blocking wait into an exit path.
-        drop(handles);
-        self.shared.completions.close();
-        while let Some(result) = self.shared.completions.try_recv() {
-            unclaimed.push(result);
-        }
         ShutdownReport {
-            unclaimed,
             metrics: metrics.typed_snapshot(),
             worker_panics,
-            abandoned,
+            abandoned: handles.len(),
         }
     }
 }
 
-impl<T, R> Drop for Pool<T, R> {
-    /// Dropping without [`Pool::shutdown`] must not leave worker threads
-    /// parked forever: closing both channels turns every blocking wait
-    /// inside a worker into an exit path. Results still queued are lost —
-    /// which is what abandoning a pool means — but the threads terminate.
+impl<T> Drop for Pool<T> {
+    /// Dropping without [`Pool::shutdown_within`] must not leave worker
+    /// threads parked forever: closing the injector turns every worker's
+    /// blocking wait into an exit path once the queue is drained.
     fn drop(&mut self) {
-        self.shared.injector.close();
-        self.shared.completions.close();
+        self.injector.close();
     }
 }
 
-/// Every input's completion, in input order, plus the merged worker
-/// metrics — what [`run_ordered`] returns.
-#[derive(Debug)]
-pub struct OrderedRun<R> {
-    /// One completion per input; `results[i]` belongs to input `i`.
-    pub results: Vec<JobResult<R>>,
-    /// All workers' private registries, merged at shutdown: job counts,
-    /// panics, `pipeline_queue_wait` / `pipeline_run_time` histograms.
-    pub metrics: RegistrySnapshot,
-}
-
-/// Runs every input through a fresh pool of `workers` threads (with the
-/// default `2 × workers` queue) and returns one completion per input, in
-/// input order.
-///
-/// The submission pump is single-threaded on purpose. It alternates a
-/// non-blocking [`Pool::try_submit`] with a blocking [`Pool::recv_result`]
-/// whenever the queue is full, so it can never be blocked on both bounded
-/// channels at once — the classic bounded-queue-pair deadlock — and every
-/// admitted job's completion is eventually received; shutdown collects the
-/// rest.
-///
-/// # Errors
-///
-/// [`PoolError::ZeroWorkers`] or [`PoolError::Spawn`] when the pool cannot
-/// start, and [`PoolError::LostJobs`] if some input never completed.
-pub fn run_ordered<T, R>(
-    workers: usize,
-    inputs: impl IntoIterator<Item = T>,
-    runner: impl Fn(T) -> R + Send + Sync + 'static,
-    sink: Arc<dyn TraceSink>,
-) -> Result<OrderedRun<R>, PoolError>
-where
-    T: Send + 'static,
-    R: Send + 'static,
-{
-    let pool = Pool::new(PoolConfig::with_workers(workers), runner, sink)?;
-    let mut submitted = 0usize;
-    let mut results = Vec::new();
-    for mut input in inputs {
-        submitted += 1;
-        while let Err(TrySubmitError::QueueFull(returned)) = pool.try_submit(input) {
-            input = returned;
-            results.extend(pool.recv_result());
-        }
-    }
-    let shutdown = pool.shutdown();
-    results.extend(shutdown.unclaimed);
-    if results.len() < submitted {
-        return Err(PoolError::LostJobs(submitted - results.len()));
-    }
-    // Ids ascend in submission order and each admitted job completes
-    // exactly once, so sorting by id restores input order.
-    results.sort_by_key(|r| r.job_id);
-    Ok(OrderedRun {
-        results,
-        metrics: shutdown.metrics,
-    })
-}
-
-/// One worker thread: take the oldest queued job, run it, repeat. Exits
-/// once the injector is closed and drained, or when the completion channel
-/// is closed under it. Returns its private metrics for the shutdown merge.
-fn worker_loop<T, R>(shared: &Shared<T, R>, me: usize) -> RegistrySnapshot {
-    let metrics = Registry::new();
-    while let Some(job) = shared.injector.recv() {
-        if !run_job(shared, &metrics, me, job) {
-            break;
-        }
-    }
-    metrics.typed_snapshot()
-}
-
-/// Runs one job under `catch_unwind` and delivers its completion record.
-/// Returns `false` when the completion channel is closed — the signal
-/// that the pool was abandoned and the worker should exit.
-fn run_job<T, R>(shared: &Shared<T, R>, metrics: &Registry, me: usize, job: Job<T>) -> bool {
-    let queue_wait = job.submitted.elapsed();
-    let Job { id, payload, .. } = job;
+/// The one job body: runs `payload` under `catch_unwind` and records the
+/// job in the worker's `metrics` (`pipeline_jobs_run`, the
+/// `pipeline_queue_wait` / `pipeline_run_time` histograms,
+/// `pipeline_jobs_panicked`) and in `sink` (`pipeline_jobs_submitted`,
+/// `pipeline_jobs_panicked`).
+fn run_job<T, R>(
+    runner: &impl Fn(T) -> R,
+    payload: T,
+    queue_wait: Duration,
+    metrics: &Registry,
+    sink: &dyn TraceSink,
+    worker: usize,
+) -> JobResult<R> {
+    sink.add("pipeline_jobs_submitted", 1);
     let started = Instant::now();
     // AssertUnwindSafe: the runner only sees state it owns (the moved
     // payload) or shares behind `&` (the caller's extractor, whose methods
     // take `&self` and keep no cross-call mutable state), so a panic
     // cannot leave anything observable torn.
-    let outcome = catch_unwind(AssertUnwindSafe(|| (shared.runner)(payload)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| runner(payload)));
     let run_time = started.elapsed();
     metrics.add("pipeline_jobs_run", 1);
     metrics.observe("pipeline_queue_wait", duration_ns(queue_wait));
     metrics.observe("pipeline_run_time", duration_ns(run_time));
     let output = outcome.map_err(|panic| {
         metrics.add("pipeline_jobs_panicked", 1);
-        shared.sink.add("pipeline_jobs_panicked", 1);
+        sink.add("pipeline_jobs_panicked", 1);
         JobPanic {
             message: panic_message(panic.as_ref()),
         }
     });
-    if !shared.deliver_completions {
-        // Detached mode: the job routed its own result; the channel stays
-        // untouched so an undrained pool can never wedge the workers.
-        return true;
+    JobResult {
+        worker,
+        queue_wait,
+        run_time,
+        output,
     }
-    shared
-        .completions
-        .send(JobResult {
-            job_id: id,
-            worker: me,
-            queue_wait,
-            run_time,
-            output,
-        })
-        .is_ok()
 }
 
 /// Flattens a panic payload to a message. `panic!("…")` produces `&str`
@@ -502,16 +443,34 @@ fn duration_ns(d: Duration) -> u64 {
 mod tests {
     use super::*;
     use rbd_trace::NullSink;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-    fn null_sink() -> Arc<dyn TraceSink> {
+    fn null_sink() -> &'static dyn TraceSink {
+        &NullSink
+    }
+
+    fn null_pool_sink() -> Arc<dyn TraceSink> {
         Arc::new(NullSink)
     }
 
-    /// Submits one job to a pool nobody drains, waiting out a full queue.
-    fn submit_waiting<T: Send + 'static, R: Send + 'static>(pool: &Pool<T, R>, mut payload: T) {
+    /// A pool over `runner` with the given sizing and a null sink.
+    fn pool<T: Send + 'static>(
+        workers: usize,
+        queue_capacity: usize,
+        runner: impl Fn(T) + Send + Sync + 'static,
+    ) -> Pool<T> {
+        let config = PoolConfig {
+            workers,
+            queue_capacity,
+        };
+        Pool::new(config, runner, &null_pool_sink()).expect("valid config")
+    }
+
+    /// Submits one job, waiting out a full queue.
+    fn submit_waiting<T: Send + 'static>(pool: &Pool<T>, mut payload: T) {
         loop {
             match pool.try_submit(payload) {
-                Ok(_) => return,
+                Ok(()) => return,
                 Err(TrySubmitError::QueueFull(returned)) => {
                     payload = returned;
                     std::thread::sleep(Duration::from_micros(200));
@@ -543,9 +502,17 @@ mod tests {
 
     #[test]
     fn zero_workers_is_rejected() {
-        let result: Result<Pool<u64, u64>, PoolError> =
-            Pool::new(PoolConfig::with_workers(0), |x| x, null_sink());
+        let result: Result<Pool<u64>, PoolError> = Pool::new(
+            PoolConfig {
+                workers: 0,
+                queue_capacity: 1,
+            },
+            |_| {},
+            &null_pool_sink(),
+        );
         assert_eq!(result.err(), Some(PoolError::ZeroWorkers));
+        let ordered = run_ordered(0, 0..4u64, |x: u64| x, null_sink());
+        assert_eq!(ordered.err(), Some(PoolError::ZeroWorkers));
     }
 
     #[test]
@@ -576,65 +543,100 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_returns_unclaimed_results() {
-        let pool = Pool::new(
-            PoolConfig::with_workers(2).with_queue_capacity(64),
-            |x: u64| x,
-            null_sink(),
-        )
-        .expect("valid config");
-        for x in 0..20u64 {
-            pool.try_submit(x).expect("room in the queue");
-        }
-        // Shut down without draining anything: nothing may be lost.
-        let report = pool.shutdown();
-        let mut ids: Vec<u64> = report.unclaimed.iter().map(|r| r.job_id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..20).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn detached_pool_runs_jobs_without_completions() {
-        let ran = Arc::new(AtomicU64::new(0));
-        let pool = {
-            let ran = Arc::clone(&ran);
-            Pool::new(
-                PoolConfig::with_workers(2)
-                    .with_queue_capacity(8)
-                    .detached(),
-                move |x: u64| {
-                    ran.fetch_add(x, Ordering::SeqCst);
+    fn inputs_are_taken_no_faster_than_workers_finish_them() {
+        for workers in [1, 2, 3] {
+            let in_flight = AtomicUsize::new(0);
+            let peak = AtomicUsize::new(0);
+            // The iterator counts each take; the runner counts each finish.
+            let inputs = (0..200u64).inspect(|_| {
+                let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+            });
+            let run = run_ordered(
+                workers,
+                inputs,
+                |x: u64| {
+                    std::thread::sleep(Duration::from_micros(50));
+                    in_flight.fetch_sub(1, Ordering::SeqCst);
+                    x
                 },
                 null_sink(),
             )
-            .expect("valid config")
+            .expect("valid config");
+            assert_eq!(run.results.len(), 200);
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(
+                (1..=workers).contains(&peak),
+                "workers={workers}: {peak} inputs taken and unfinished at once"
+            );
+        }
+    }
+
+    #[test]
+    fn input_iterator_panic_reaches_the_caller() {
+        let inputs = (0..10u64).inspect(|&x| assert!(x != 5, "bad input"));
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_ordered(2, inputs, |x: u64| x, null_sink())
+        }));
+        let payload = caught.expect_err("the iterator's panic propagates");
+        assert_eq!(panic_message(payload.as_ref()), "bad input");
+    }
+
+    #[test]
+    fn runner_borrows_caller_owned_state() {
+        // Neither the table nor the tally is 'static or shared by `Arc`.
+        let table: Vec<String> = (0..50).map(|i| "x".repeat(i)).collect();
+        let tally = Mutex::new(Vec::new());
+        let run = run_ordered(
+            2,
+            table.iter(),
+            |s: &String| {
+                tally.lock().expect("unpoisoned").push(s.len());
+                s.len()
+            },
+            null_sink(),
+        )
+        .expect("valid config");
+        let lengths: Vec<usize> = run
+            .results
+            .into_iter()
+            .map(|r| r.output.expect("ran"))
+            .collect();
+        assert_eq!(lengths, (0..50).collect::<Vec<_>>());
+        let mut tally = tally.into_inner().expect("unpoisoned");
+        tally.sort_unstable();
+        assert_eq!(tally, lengths);
+    }
+
+    #[test]
+    fn pool_runs_every_job() {
+        let ran = Arc::new(AtomicU64::new(0));
+        let pool = {
+            let ran = Arc::clone(&ran);
+            pool(2, 8, move |x: u64| {
+                ran.fetch_add(x, Ordering::SeqCst);
+            })
         };
-        // Far more jobs than the completion channel could hold: in
-        // delivering mode an undrained submitter would wedge here; in
-        // detached mode every job must run to completion regardless.
+        // Far more jobs than the queue holds, and nobody collects results.
         for x in 0..100u64 {
             submit_waiting(&pool, x);
         }
-        let report = pool.shutdown();
+        let report = pool.shutdown_within(Duration::from_secs(30));
         assert_eq!(ran.load(Ordering::SeqCst), (0..100).sum::<u64>());
-        assert!(report.unclaimed.is_empty(), "detached mode sends nothing");
         assert_eq!(report.metrics.counters.get("pipeline_jobs_run"), Some(&100));
         assert_eq!(report.worker_panics, 0);
         assert_eq!(report.abandoned, 0);
     }
 
     #[test]
-    fn detached_pool_still_counts_panics() {
-        let pool = Pool::new(
-            PoolConfig::with_workers(1).detached(),
-            |x: u64| assert!(x != 7, "bad payload"),
-            null_sink(),
-        )
-        .expect("valid config");
+    fn pool_counts_panics() {
+        let pool = pool(1, 2, |x: u64| {
+            assert!(x != 7, "bad payload");
+        });
         for x in [7u64, 1, 2] {
             submit_waiting(&pool, x);
         }
-        let report = pool.shutdown();
+        let report = pool.shutdown_within(Duration::from_secs(30));
         assert_eq!(report.metrics.counters.get("pipeline_jobs_run"), Some(&3));
         assert_eq!(
             report.metrics.counters.get("pipeline_jobs_panicked"),
@@ -648,14 +650,9 @@ mod tests {
         let gate: Arc<Bounded<()>> = Arc::new(Bounded::new(4));
         let pool = {
             let gate = Arc::clone(&gate);
-            Pool::new(
-                PoolConfig::with_workers(1).detached(),
-                move |_: u64| {
-                    gate.recv();
-                },
-                null_sink(),
-            )
-            .expect("valid config")
+            pool(1, 2, move |_: u64| {
+                gate.recv();
+            })
         };
         pool.try_submit(0).expect("room in the queue");
         // The single worker is parked inside the job waiting on the gate;
@@ -667,52 +664,24 @@ mod tests {
             "drain deadline must bound shutdown"
         );
         assert_eq!(report.abandoned, 1);
-        // Release the detached thread so it exits cleanly in background.
+        // Release the abandoned thread so it exits cleanly in background.
         gate.close();
-    }
-
-    #[test]
-    fn shutdown_within_reports_zero_abandoned_when_workers_finish() {
-        let pool =
-            Pool::new(PoolConfig::with_workers(2), |x: u64| x, null_sink()).expect("valid config");
-        for x in 0..10u64 {
-            submit_waiting(&pool, x);
-        }
-        let report = pool.shutdown_within(Duration::from_secs(30));
-        assert_eq!(report.abandoned, 0);
-        assert_eq!(report.unclaimed.len(), 10);
     }
 
     #[test]
     fn metrics_cover_every_job() {
         let run = run_ordered(4, 0..50u64, |x: u64| x * x, null_sink()).expect("valid config");
-        assert_eq!(run.results.len(), 50);
-        // This submitter never drains, so the completion channel (sized
-        // from the queue capacity) must have room for the whole batch —
-        // otherwise the bounded completions exert backpressure right back
-        // through the workers and the queue stays full forever, by design.
-        let pool = Pool::new(
-            PoolConfig::with_workers(4).with_queue_capacity(64),
-            |x: u64| x,
-            null_sink(),
-        )
-        .expect("valid config");
+        let pool = pool(4, 8, |_: u64| {});
         for x in 0..50u64 {
-            pool.try_submit(x).expect("room in the queue");
+            submit_waiting(&pool, x);
         }
-        let report = pool.shutdown();
-        assert_eq!(report.metrics.counters.get("pipeline_jobs_run"), Some(&50));
-        let wait = report
-            .metrics
-            .histograms
-            .get("pipeline_queue_wait")
-            .expect("queue-wait histogram");
-        assert_eq!(wait.count, 50);
-        let run = report
-            .metrics
-            .histograms
-            .get("pipeline_run_time")
-            .expect("run-time histogram");
-        assert_eq!(run.count, 50);
+        let report = pool.shutdown_within(Duration::from_secs(30));
+        for metrics in [&run.metrics, &report.metrics] {
+            assert_eq!(metrics.counters.get("pipeline_jobs_run"), Some(&50));
+            for histogram in ["pipeline_queue_wait", "pipeline_run_time"] {
+                let h = metrics.histograms.get(histogram).expect("histogram");
+                assert_eq!(h.count, 50, "{histogram}");
+            }
+        }
     }
 }

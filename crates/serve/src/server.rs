@@ -418,7 +418,7 @@ impl Drop for ActiveGuard<'_> {
 /// the listener; [`Server::run`] blocks in the accept loop until shutdown.
 pub struct Server {
     listener: TcpListener,
-    pool: Pool<Conn, ()>,
+    pool: Pool<Conn>,
     ctx: Arc<Ctx>,
     config: ServeConfig,
 }
@@ -483,14 +483,14 @@ impl Server {
             retry_after_s: config.retry_after_s,
         });
 
-        let pool_config = PoolConfig::with_workers(config.workers)
-            .with_queue_capacity(config.queue_capacity)
-            .detached();
         let runner_ctx = Arc::clone(&ctx);
         let pool = Pool::new(
-            pool_config,
+            PoolConfig {
+                workers: config.workers,
+                queue_capacity: config.queue_capacity,
+            },
             move |conn: Conn| handle_connection(&runner_ctx, conn),
-            Arc::clone(&metrics) as Arc<dyn TraceSink>,
+            &(Arc::clone(&metrics) as Arc<dyn TraceSink>),
         )
         .map_err(ServeError::Pool)?;
 
@@ -591,7 +591,7 @@ impl Server {
 /// must be non-blocking.
 fn admit(
     ctx: &Arc<Ctx>,
-    pool: &Pool<Conn, ()>,
+    pool: &Pool<Conn>,
     stream: TcpStream,
     peer: SocketAddr,
     parting: &mut Vec<(TcpStream, Instant)>,
@@ -611,7 +611,7 @@ fn admit(
         accepted_us: unix_micros(),
     };
     match pool.try_submit(conn) {
-        Ok(_id) => {}
+        Ok(()) => {}
         Err(TrySubmitError::QueueFull(conn)) => {
             bounce(ctx, conn.stream, pool.queue_depth(), parting);
         }
@@ -851,14 +851,23 @@ fn extract(ctx: &Ctx, rt: &RequestTrace, request: &Request) -> Response {
     // The cache only speaks for the default limits profile: a strict or
     // unbounded extraction of the same bytes can legitimately differ, so
     // those requests bypass the store in both directions.
-    let cacheable =
-        ctx.store.is_some() && matches!(request.header("x-rbd-limits"), None | Some("default"));
-    if cacheable {
-        if let Some(body) = store_lookup(ctx, rt, html) {
-            ctx.metrics.add("serve_requests_ok", 1);
-            return Response::json(200, "OK", body).with_header("x-rbd-cache", "hit".to_string());
-        }
-    }
+    let cache = ctx
+        .store
+        .as_ref()
+        .filter(|_| matches!(request.header("x-rbd-limits"), None | Some("default")));
+    // A miss keeps the body's hash for the insert, so each body is hashed
+    // once.
+    let miss = match cache {
+        Some(store) => match store_lookup(ctx, store, rt, html) {
+            Ok(body) => {
+                ctx.metrics.add("serve_requests_ok", 1);
+                return Response::json(200, "OK", body)
+                    .with_header("x-rbd-cache", "hit".to_string());
+            }
+            Err(hash) => Some((store, hash)),
+        },
+        None => None,
+    };
     let extractor = profile_for(ctx, request);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if rt.collecting {
@@ -895,11 +904,12 @@ fn extract(ctx: &Ctx, rt: &RequestTrace, request: &Request) -> Response {
                 "OK",
                 extraction_response_json(&extraction).to_compact(),
             );
-            if cacheable {
-                store_insert(ctx, html, &extraction);
-                response.with_header("x-rbd-cache", "miss".to_string())
-            } else {
-                response
+            match miss {
+                Some((store, hash)) => {
+                    store_insert(ctx, store, hash, &extraction);
+                    response.with_header("x-rbd-cache", "miss".to_string())
+                }
+                None => response,
             }
         }
     }
@@ -909,11 +919,15 @@ fn extract(ctx: &Ctx, rt: &RequestTrace, request: &Request) -> Response {
 /// stored response body comes back (byte-identical to what a fresh
 /// extraction would serialize — `StoredDoc::response_json` is pinned to
 /// [`extraction_response_json`]'s shape) and the lookup is recorded as a
-/// `serve:cache_hit` span in the request's trace tree. A read failure on
-/// a committed frame degrades to a miss with a typed counter; it never
-/// fails the request.
-fn store_lookup(ctx: &Ctx, rt: &RequestTrace, html: &str) -> Option<String> {
-    let store = ctx.store.as_ref()?;
+/// `serve:cache_hit` span in the request's trace tree. A miss returns the
+/// hash for [`store_insert`]. A read failure on a committed frame degrades
+/// to a miss with a typed counter; it never fails the request.
+fn store_lookup(
+    ctx: &Ctx,
+    store: &Mutex<Store>,
+    rt: &RequestTrace,
+    html: &str,
+) -> Result<String, ContentHash> {
     let started = Instant::now();
     let started_us = unix_micros();
     let hash = ContentHash::of(html.as_bytes());
@@ -940,16 +954,16 @@ fn store_lookup(ctx: &Ctx, rt: &RequestTrace, html: &str) -> Option<String> {
                 parent: Some(rt.worker),
                 start_us: started_us,
             });
-            Some(stored.response.clone())
+            Ok(stored.response.clone())
         }
         Err(_) => {
             ctx.metrics.add("store_read_errors", 1);
             ctx.metrics.add("store_cache_misses", 1);
-            None
+            Err(hash)
         }
         Ok(None) => {
             ctx.metrics.add("store_cache_misses", 1);
-            None
+            Err(hash)
         }
     }
 }
@@ -957,11 +971,7 @@ fn store_lookup(ctx: &Ctx, rt: &RequestTrace, html: &str) -> Option<String> {
 /// Commits a fresh extraction to the store so the next request for the
 /// same bytes hits. A commit failure loses only the cache entry — the
 /// response already in flight is unaffected — and is counted.
-fn store_insert(ctx: &Ctx, html: &str, extraction: &Extraction) {
-    let Some(store) = ctx.store.as_ref() else {
-        return;
-    };
-    let hash = ContentHash::of(html.as_bytes());
+fn store_insert(ctx: &Ctx, store: &Mutex<Store>, hash: ContentHash, extraction: &Extraction) {
     let doc = StoredDoc::from_extraction(hash, None, extraction);
     let mut guard = store.lock().unwrap_or_else(PoisonError::into_inner);
     if guard.append_batch(std::slice::from_ref(&doc)).is_err() {

@@ -7,7 +7,8 @@
 //!
 //! * **A single-file append-only log** of extraction results, as
 //!   length-prefixed CRC-checksummed frames whose bodies are `rbd-json`
-//!   documents, with an in-file index segment per commit.
+//!   documents; the hash→offset index is rebuilt from the doc frames on
+//!   open.
 //! * **Crash-safe commits**: doc frames are written and `sync_data`'d
 //!   before the commit frame that makes them visible; recovery on open
 //!   validates the committed prefix and truncates any torn or

@@ -8,14 +8,17 @@
 //! payload  := kind_byte body
 //! doc      := 0x01 hash[32] json(StoredDoc body)
 //! commit   := 0x02 u64_le(cumulative committed doc count)
-//! index    := 0x03 json([{"hash": hex, "offset": uint}, ...])
+//! index    := 0x03 json(...)   (legacy: read past, never written)
 //! ```
+//!
+//! Stores written before the index frame was dropped carry one index
+//! frame per commit; recovery skips it, since the hash→offset index is
+//! rebuilt from the doc frames themselves.
 //!
 //! ## Commit protocol
 //!
-//! A batch appends its doc frames plus one index frame (the batch's
-//! hash→offset entries), `sync_data`s, then appends the commit frame and
-//! `sync_data`s again. A crash between the two syncs leaves doc frames
+//! A batch appends its doc frames, `sync_data`s, then appends the commit
+//! frame and `sync_data`s again. A crash between the two syncs leaves doc frames
 //! with no commit record; a crash mid-write leaves a torn frame. Either
 //! way the tail after the last commit frame is discarded on open.
 //!
@@ -32,7 +35,6 @@
 
 use crate::doc::StoredDoc;
 use crate::hash::{crc32, ContentHash};
-use rbd_json::Json;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -54,7 +56,8 @@ const MAX_FRAME: u64 = 256 * 1024 * 1024;
 const KIND_DOC: u8 = 1;
 /// Frame kind: a batch commit record.
 const KIND_COMMIT: u8 = 2;
-/// Frame kind: the batch's index segment (hash → frame offset).
+/// Frame kind: a legacy per-commit index segment. Older stores carry one;
+/// recovery skips it and nothing writes it.
 const KIND_INDEX: u8 = 3;
 
 /// Cap on the resident bytes of the in-memory hit layer. When an insert
@@ -317,8 +320,8 @@ impl Store {
         Ok(docs)
     }
 
-    /// Appends and commits a batch of documents: doc frames plus an index
-    /// frame, `sync_data`, then the commit frame, `sync_data` again.
+    /// Appends and commits a batch of documents: doc frames, `sync_data`,
+    /// then the commit frame, `sync_data` again.
     /// Documents whose hash is already committed (or repeated within the
     /// batch) are skipped. Returns the number of documents newly
     /// committed.
@@ -350,15 +353,6 @@ impl Store {
         if new_entries.is_empty() {
             return Ok(0);
         }
-        let index_entries = Json::array(new_entries.iter().map(|(hash, offset)| {
-            Json::object([
-                ("hash", Json::Str(hash.to_hex())),
-                ("offset", Json::UInt(*offset)),
-            ])
-        }));
-        let mut index_payload = vec![KIND_INDEX];
-        index_payload.extend_from_slice(index_entries.to_compact().as_bytes());
-        push_frame(&mut data, &index_payload)?;
 
         let added = new_entries.len() as u64;
         let mut commit_payload = vec![KIND_COMMIT];
@@ -511,6 +505,8 @@ impl Store {
                     }
                     committed_end = end;
                 }
+                // Legacy index segment: the doc frames already say where
+                // each document lives.
                 Some(k) if k == KIND_INDEX => {}
                 _ => {
                     return Err(StoreError::Corrupt {
@@ -595,6 +591,60 @@ mod tests {
             .get(&ContentHash::of(b"absent"))
             .expect("read")
             .is_none());
+    }
+
+    #[test]
+    fn legacy_index_frames_are_read_past() {
+        // A commit as older stores wrote it: doc frames, an index frame,
+        // then the commit frame.
+        let docs = vec![doc("p"), doc("q")];
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        let mut entries = Vec::new();
+        for d in &docs {
+            entries.push(format!(
+                "{{\"hash\":\"{}\",\"offset\":{}}}",
+                d.hash.to_hex(),
+                bytes.len()
+            ));
+            let mut payload = vec![KIND_DOC];
+            payload.extend_from_slice(&d.hash.0);
+            payload.extend_from_slice(d.body_json().to_compact().as_bytes());
+            push_frame(&mut bytes, &payload).expect("small frame");
+        }
+        let mut index = vec![KIND_INDEX];
+        index.extend_from_slice(format!("[{}]", entries.join(",")).as_bytes());
+        let mut index_frame = Vec::new();
+        push_frame(&mut index_frame, &index).expect("small frame");
+        bytes.extend_from_slice(&index_frame);
+        let mut commit = vec![KIND_COMMIT];
+        commit.extend_from_slice(&2u64.to_le_bytes());
+        push_frame(&mut bytes, &commit).expect("small frame");
+
+        let path = scratch("legacy_index.rbd");
+        std::fs::write(&path, &bytes).expect("write legacy store");
+        let mut store = Store::open(&path).expect("legacy store opens");
+        assert_eq!(store.len(), 2);
+        for d in &docs {
+            assert_eq!(store.get(&d.hash).expect("read").as_ref(), Some(d));
+        }
+        assert_eq!(store.load_all().expect("load"), docs);
+        store
+            .append_batch(&[doc("r")])
+            .expect("append after legacy");
+        drop(store);
+        assert_eq!(Store::open(&path).expect("reopen").len(), 3);
+
+        // The same commit written today is the legacy bytes minus the
+        // index frame.
+        let fresh = scratch("no_index.rbd");
+        std::fs::remove_file(&fresh).ok();
+        Store::open(&fresh)
+            .expect("create")
+            .append_batch(&docs)
+            .expect("commit");
+        let written = std::fs::read(&fresh).expect("read back");
+        assert_eq!(written.len(), bytes.len() - index_frame.len());
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! * [`corpus`] — synthetic web-document corpus,
 //! * [`eval`] — the experiment harness reproducing the paper's tables,
 //! * [`trace`] — tracing, metrics, and the decision audit trail,
-//! * [`pipeline`] — concurrent batch-extraction engine (one bounded FIFO
-//!   worker pool, results in input order),
+//! * [`pipeline`] — concurrent batch-extraction engine (scoped workers
+//!   that pull their own inputs, results in input order),
 //! * [`serve`] — fault-tolerant long-lived HTTP extraction service
 //!   (socket deadlines, load shedding, graceful drain),
 //! * [`store`] — crash-safe persistent record store with a content-hash
