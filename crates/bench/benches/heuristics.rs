@@ -67,7 +67,7 @@ fn bench_view_construction(h: &mut Harness) {
 
 fn bench_pattern_engine(h: &mut Harness) {
     // The OM/recognizer substrate: regex matching throughput.
-    let (_, html) = fixture();
+    let (tree, html) = fixture();
     let text = rbd_html::tokenize(&html).plain_text();
     let kw = rbd_pattern::Pattern::case_insensitive("died on|passed away on|passed away")
         .expect("compiles");
@@ -80,6 +80,18 @@ fn bench_pattern_engine(h: &mut Harness) {
     });
     group.bench_function("date_count", |b| {
         b.iter(|| black_box(date.count_matches(black_box(&text))));
+    });
+    // What OM scans: every rule it counts, over the view's text.
+    let view = SubtreeView::from_tree(&tree, 0.10);
+    let om = OntologyMatching::new(domains::obituaries()).expect("compiles");
+    let rules: Vec<_> = om.counted_rules().collect();
+    assert_eq!(rules.len(), 3, "the obituary ontology's OM rules");
+    group.throughput_bytes(view.text().len() as u64);
+    group.bench_function("om_rules_count", |b| {
+        b.iter(|| {
+            let text = black_box(view.text());
+            black_box(rules.iter().map(|p| p.count_matches(text)).sum::<usize>())
+        });
     });
     group.finish();
 }

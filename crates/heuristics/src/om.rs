@@ -14,20 +14,51 @@ use crate::view::SubtreeView;
 use crate::Heuristic;
 use rbd_ontology::rules::{om_field_budget, MatchKind};
 use rbd_ontology::{MatchingRules, Ontology};
-use rbd_pattern::PatternError;
+use rbd_pattern::{Pattern, PatternError};
 
 /// The ontology-matching heuristic, bound to one application ontology.
 #[derive(Debug, Clone)]
 pub struct OntologyMatching {
     ontology: Ontology,
     rules: MatchingRules,
+    /// The rules OM counts, one list of indices into `rules` per budgeted
+    /// record-identifying field: its rules of the evidence kind the
+    /// selection chose for it (keywords preferred over values). `None`
+    /// when fewer than three fields are available and OM abstains.
+    fields: Option<Vec<Vec<usize>>>,
 }
 
 impl OntologyMatching {
-    /// Compiles the matching rules of `ontology`.
+    /// Compiles the matching rules of `ontology` and chooses the ones OM
+    /// counts.
     pub fn new(ontology: Ontology) -> Result<Self, PatternError> {
         let rules = ontology.matching_rules()?;
-        Ok(OntologyMatching { ontology, rules })
+        let selected = ontology.record_identifying_fields();
+        let fields = om_field_budget(&ontology, selected.len()).map(|budget| {
+            selected
+                .iter()
+                .take(budget)
+                .map(|f| {
+                    let kind = if f.via_keywords {
+                        MatchKind::Keyword
+                    } else {
+                        MatchKind::Constant
+                    };
+                    rules
+                        .rules()
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, r)| r.object_set == f.object_set.name && r.kind == kind)
+                        .map(|(i, _)| i)
+                        .collect()
+                })
+                .collect()
+        });
+        Ok(OntologyMatching {
+            ontology,
+            rules,
+            fields,
+        })
     }
 
     /// The bound ontology.
@@ -35,34 +66,38 @@ impl OntologyMatching {
         &self.ontology
     }
 
+    /// Every rule [`OntologyMatching::estimate_record_count`] counts,
+    /// field by field; empty when OM abstains.
+    pub fn counted_rules(&self) -> impl Iterator<Item = &Pattern> {
+        self.fields
+            .iter()
+            .flatten()
+            .flat_map(|field| self.field_rules(field))
+    }
+
+    /// The patterns of one field's rules.
+    fn field_rules<'a>(&'a self, field: &'a [usize]) -> impl Iterator<Item = &'a Pattern> {
+        field
+            .iter()
+            .filter_map(|&i| self.rules.rules().get(i))
+            .map(|r| &r.pattern)
+    }
+
     /// Estimates the number of records in `text`: the average occurrence
     /// count over the selected record-identifying fields. Returns `None`
     /// (OM abstains) when fewer than three fields are available.
     pub fn estimate_record_count(&self, text: &str) -> Option<f64> {
-        let fields = self.ontology.record_identifying_fields();
-        let budget = om_field_budget(&self.ontology, fields.len())?;
+        let fields = self.fields.as_ref()?;
         let counts: Vec<f64> = fields
             .iter()
-            .take(budget)
-            .map(|f| self.count_field(f.object_set.name.as_str(), f.via_keywords, text))
+            .map(|field| {
+                self.field_rules(field)
+                    .map(|p| p.count_matches(text))
+                    .sum::<usize>() as f64
+            })
             .collect();
         debug_assert!(counts.len() >= 3);
         Some(counts.iter().sum::<f64>() / counts.len() as f64)
-    }
-
-    /// Counts one field's indicator occurrences, using the evidence kind
-    /// the selection chose for it (keywords preferred over values).
-    fn count_field(&self, object_set: &str, via_keywords: bool, text: &str) -> f64 {
-        let kind = if via_keywords {
-            MatchKind::Keyword
-        } else {
-            MatchKind::Constant
-        };
-        self.rules
-            .rules_for(object_set)
-            .filter(|r| r.kind == kind)
-            .map(|r| r.pattern.count_matches(text))
-            .sum::<usize>() as f64
     }
 }
 

@@ -1,7 +1,7 @@
 //! Determinized match counting.
 //!
 //! [`Dfa`] answers one question — how many matches would
-//! `Pattern::find_iter` yield? — in one table lookup per character, by
+//! `Pattern::find_iter` yield? — in at most one table lookup per byte, by
 //! precomputing every thread list the Pike VM ([`crate::vm`]) can reach.
 //!
 //! A state is the VM's ordered thread list at one position, before its
@@ -17,6 +17,17 @@
 //! later group: those threads started later and cannot win. The scan stops
 //! at the empty state; the last match position seen is the match's end,
 //! and the next search resumes there, exactly like the VM's iterator.
+//!
+//! The count loop steps over bytes. An ASCII byte maps through a
+//! 128-entry class table; only a byte of `0x80` or more decodes a char.
+//! Table entries are row offsets (state id times class count), so a step
+//! is one add and one load, and scan flags are read by row. In an idle
+//! start state (after a non-word or a word char, not at offset 0) the loop
+//! runs over bytes of a 256-entry `skip` table with no transition lookup. The
+//! table is read off the DFA itself: an ASCII byte is skippable when both
+//! idle start rows send it to the idle start state of its own word class
+//! with no flag raised. That is exact, `\b`/`\B` included: after a run,
+//! the state is the one its last byte leads to.
 //!
 //! The whole table is built at once, on first use. A program that needs
 //! more than [`MAX_STATES`] states, or that can match the empty string
@@ -46,26 +57,40 @@ const SCAN_MATCH: u8 = 1;
 const SCAN_DEAD: u8 = 2;
 /// The program matches at end-of-input from this state.
 const SCAN_EOI: u8 = 4;
+/// An idle start state (after a non-word or a word char): the scan may
+/// run over the bytes of `Dfa::skip`.
+const SCAN_IDLE: u8 = 8;
 
 /// Ends one group of program counters in a state key.
 const SEP: u32 = u32::MAX;
 
+/// The row a failed table lookup leads to. No row lives there, so its
+/// flags read as [`SCAN_DEAD`] and the scan stops.
+const NO_ROW: usize = usize::MAX;
+
 /// A determinized counter for one [`Program`].
+///
+/// A state is addressed by its row: its id times the class count, the
+/// offset of its first entry in `trans`.
 #[derive(Clone)]
 pub(crate) struct Dfa {
     classes: Classes,
-    /// `trans[s * classes.len() + k]`: the state after class `k` from `s`.
+    /// `trans[row + k]`: the row of the state after class `k`.
     trans: Vec<u32>,
-    /// Scan flags per state.
+    /// Scan flags by row; zero at every offset that starts no row.
     flags: Vec<u8>,
-    /// Start states: at offset 0, after a non-word char, after a word char.
+    /// Start rows: at offset 0, after a non-word char, after a word char.
     start: [u32; 3],
+    /// `skip[b]`: ASCII byte `b` takes both idle start states to the idle
+    /// start state of `b`'s word class with no flag raised, so a scan in
+    /// an idle start state can pass over it without a table lookup.
+    skip: [bool; 256],
 }
 
 impl fmt::Debug for Dfa {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Dfa")
-            .field("states", &self.flags.len())
+            .field("states", &(self.trans.len() / self.classes.len()))
             .field("classes", &self.classes.len())
             .finish()
     }
@@ -93,6 +118,7 @@ impl Dfa {
             b.intern(vec![0])?,
             b.intern(vec![if classes.uses_word { PREV_WORD } else { 0 }])?,
         ];
+        let n = classes.len();
         let mut trans = Vec::new();
         let mut flags = Vec::new();
         let mut dense = Vec::new();
@@ -107,7 +133,7 @@ impl Dfa {
             if key[0] & MATCHED != 0 && key.len() == 1 {
                 // Dead: the scan stops on entry, so this row is never read.
                 f |= SCAN_DEAD;
-                trans.extend(std::iter::repeat_n(to_u32(s), classes.len()));
+                trans.extend(std::iter::repeat_n(to_u32(s), n));
             } else {
                 b.closure(&key, None, &mut dense);
                 let is_match =
@@ -115,51 +141,110 @@ impl Dfa {
                 if dense.iter().any(is_match) {
                     f |= SCAN_EOI;
                 }
-                for k in 0..classes.len() {
+                for k in 0..n {
                     let next = b.step(&key, k, &mut dense);
                     trans.push(b.intern(next)?);
                 }
             }
             flags.push(f);
+            flags.extend(std::iter::repeat_n(0, n - 1));
             s += 1;
+        }
+        // State ids become rows.
+        for t in &mut trans {
+            *t = to_u32(*t as usize * n);
+        }
+        let start = start.map(|s| to_u32(s as usize * n));
+        let [_, after_plain, after_word] = start.map(|row| row as usize);
+        let lands = |row: usize, k: u32, home: usize| {
+            trans
+                .get(row + k as usize)
+                .is_some_and(|&t| t as usize == home)
+        };
+        let skip = std::array::from_fn(|b| {
+            classes.ascii.get(b).is_some_and(|&k| {
+                let home = if u8::try_from(b).is_ok_and(|b| is_word(char::from(b))) {
+                    after_word
+                } else {
+                    after_plain
+                };
+                lands(after_plain, k, home)
+                    && lands(after_word, k, home)
+                    && flags.get(home) == Some(&0)
+            })
+        });
+        for row in [after_plain, after_word] {
+            if let Some(f) = flags.get_mut(row) {
+                *f |= SCAN_IDLE;
+            }
         }
         Some(Dfa {
             classes,
             trans,
             flags,
             start,
+            skip,
         })
     }
 
     /// Number of non-overlapping leftmost-longest matches in `haystack`;
     /// equals `Pattern::find_iter(haystack).count()`.
+    ///
+    /// Steps over bytes: an ASCII byte is its own char, and only a byte
+    /// of `0x80` or more decodes one. In an idle start state the scan
+    /// runs over `skip` bytes with no table lookup; the state after such
+    /// a run is the one its last byte leads to from either idle row.
     pub(crate) fn count(&self, haystack: &str) -> usize {
-        let n = self.classes.len();
+        let bytes = haystack.as_bytes();
+        let [at_start, after_plain, after_word] = self.start.map(|row| row as usize);
         let mut count = 0;
         let mut from = 0;
         loop {
-            let mut state = if from == 0 {
-                self.start[0]
+            let mut row = if from == 0 {
+                at_start
+            } else if haystack
+                .get(..from)
+                .and_then(|h| h.chars().next_back())
+                .is_some_and(is_word)
+            {
+                after_word
             } else {
-                let prev = haystack[..from].chars().next_back();
-                self.start[1 + usize::from(prev.is_some_and(is_word))]
-            } as usize;
+                after_plain
+            };
             let mut end = None;
-            let mut dead = false;
-            for (i, c) in haystack[from..].char_indices() {
-                state = self.trans[state * n + self.classes.of(c)] as usize;
-                let f = self.flags[state];
+            let mut i = from;
+            while let Some(&b) = bytes.get(i) {
+                let (next, width) = if b < 0x80 {
+                    (self.step_ascii(row, b), 1)
+                } else {
+                    // Not a char boundary (never reached: the scan moves
+                    // by whole chars) reads as dead.
+                    self.classes
+                        .at(haystack, i)
+                        .map_or((NO_ROW, 1), |(k, w)| (self.next(row, k), w))
+                };
+                row = next;
+                let f = self.flags.get(row).copied().unwrap_or(SCAN_DEAD);
                 if f != 0 {
                     if f & SCAN_MATCH != 0 {
-                        end = Some(from + i);
+                        end = Some(i);
                     }
                     if f & SCAN_DEAD != 0 {
-                        dead = true;
                         break;
                     }
+                    if f & SCAN_IDLE != 0 {
+                        i += width;
+                        // Both idle rows send each skipped byte to the
+                        // same row, so the last one alone sets the state.
+                        if let Some(last) = self.skip_run(bytes, &mut i) {
+                            row = self.step_ascii(row, last);
+                        }
+                        continue;
+                    }
                 }
+                i += width;
             }
-            if !dead && self.flags[state] & SCAN_EOI != 0 {
+            if self.flags.get(row).is_some_and(|f| f & SCAN_EOI != 0) {
                 end = Some(haystack.len());
             }
             match end {
@@ -170,6 +255,36 @@ impl Dfa {
                 None => return count,
             }
         }
+    }
+
+    /// The row after class `k` from `row`; [`NO_ROW`] past the table.
+    #[inline]
+    fn next(&self, row: usize, k: usize) -> usize {
+        self.trans.get(row + k).map_or(NO_ROW, |&r| r as usize)
+    }
+
+    /// The row after ASCII byte `b` from `row`.
+    #[inline]
+    fn step_ascii(&self, row: usize, b: u8) -> usize {
+        self.classes
+            .ascii
+            .get(usize::from(b))
+            .map_or(NO_ROW, |&k| self.next(row, k as usize))
+    }
+
+    /// Advances `i` over the run of `skip` bytes it starts at; the run's
+    /// last byte, if it is not empty.
+    #[inline]
+    fn skip_run(&self, bytes: &[u8], i: &mut usize) -> Option<u8> {
+        let mut last = None;
+        while let Some(&b) = bytes.get(*i) {
+            if self.skip.get(usize::from(b)) != Some(&true) {
+                break;
+            }
+            last = Some(b);
+            *i += 1;
+        }
+        last
     }
 }
 
@@ -263,6 +378,13 @@ impl Classes {
     /// Number of classes.
     fn len(&self) -> usize {
         self.rep.len()
+    }
+
+    /// The class and UTF-8 width of the char at byte `i` of `haystack`;
+    /// `None` if `i` is not a char boundary.
+    fn at(&self, haystack: &str, i: usize) -> Option<(usize, usize)> {
+        let c = haystack.get(i..)?.chars().next()?;
+        Some((self.of(c), c.len_utf8()))
     }
 
     /// The class of `c`.

@@ -19,7 +19,8 @@
 //!   nothing to match;
 //! * a **determinized counter** behind [`Pattern::count_matches`], the only
 //!   call the OM heuristic makes: built on first use, it counts matches in
-//!   one table lookup per character. Programs that can match the empty
+//!   at most one table lookup per byte and skips runs of bytes that keep it
+//!   idle. Programs that can match the empty
 //!   string or exceed a fixed state cap stay on the Pike VM, which is also
 //!   the counter's test oracle.
 //!

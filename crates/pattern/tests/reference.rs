@@ -3,7 +3,8 @@
 //! On small random patterns and haystacks, `is_match` must agree exactly;
 //! leftmost-longest `find` spans and the whole `find_iter` sequence are
 //! checked against the reference's exhaustive enumeration; `count_matches`
-//! must equal `find_iter().count()`.
+//! must equal `find_iter().count()`, also on haystacks of long runs the
+//! counter's byte loop skips.
 
 use rbd_pattern::ast::{parse, Ast, ClassSet};
 use rbd_pattern::Pattern;
@@ -390,6 +391,111 @@ fn count_matches_equals_find_iter_count() {
         &inputs,
         |(pattern, haystack, ci)| count_agrees_with_vm(pattern, haystack, *ci),
     );
+}
+
+/// Haystacks of runs up to 40 long of characters most patterns cannot
+/// begin with, including a line separator, between short pieces: the
+/// runs the DFA's count loop passes over in an idle start state.
+fn long_run_haystack_gen() -> Gen<String> {
+    let run = Gen::select(vec![
+        "z", "Z", "-", " ", "\n", "_", "0", "é", "\u{a0}", "\u{2028}",
+    ])
+    .zip(gen::int_in(1usize..=40))
+    .map(|(c, n)| c.repeat(n));
+    let piece = gen::string_from("abcxAB01 _é\u{a0}\n", 1..=3);
+    gen::concat(Gen::weighted(vec![(1, run), (1, piece)]), 0..=5)
+}
+
+#[test]
+fn count_matches_equals_find_iter_count_on_long_runs() {
+    let inputs = gen::zip3(arb_alt_pattern(), long_run_haystack_gen(), arb_ci());
+    check_cases(
+        "count_matches_equals_find_iter_count_on_long_runs",
+        1024,
+        &inputs,
+        |(pattern, haystack, ci)| count_agrees_with_vm(pattern, haystack, *ci),
+    );
+}
+
+/// The count loop passes over bytes that keep an idle start state idle,
+/// then lands in the state the run's last byte leads to. Each pattern
+/// determinizes, so its count runs on that loop; it must equal the VM's
+/// `find_iter` count and the backtracking reference's.
+#[test]
+fn count_after_idle_runs() {
+    let hays = [
+        // `\b`/`\B` after a run ending in a word char, then a non-word one.
+        "zzzzzzzzzzzzab",
+        "zzzzzzzz----ab",
+        "--------zzzzab",
+        // Multi-byte chars inside a run: a word char, `\s`, a line
+        // separator.
+        "zzzzzézzzzzab zzzzz\u{a0}zzzzzab",
+        "-----\u{a0}-----a ----\u{2028}----b",
+        "zzzz\u{2028}ab\u{2028}zzzzzzzzzzzzzz\u{2028}",
+        "éééééééa----ééééb",
+        // A match at offset 0, and one ending at end-of-input.
+        "ab--------------------------ab",
+        "a zzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzb",
+        // Restarts right after a match inside a run.
+        "zzzzabzzzzabzzzzabab----ab----",
+        "----ab----ab\nab\nzzzzzzzzzzzz",
+    ];
+    let patterns = [
+        "ab",
+        "a",
+        r"\ba",
+        r"\Ba",
+        r"[ab]+\b",
+        r"\B[ab]",
+        r"\bab\b",
+        r"b$",
+        r"[ab]+$",
+        r"^a",
+        r"a\s?b",
+        r"[a-cé]+",
+        r"a|b\B",
+    ];
+    for pattern in patterns {
+        for ci in [false, true] {
+            let (engine, ast) = compile_both(pattern, ci).expect("valid pattern");
+            assert!(
+                engine.counts_with_dfa(),
+                "{pattern} (ci {ci}) stays on the VM"
+            );
+            for hay in hays {
+                count_agrees_with_vm(pattern, hay, ci).unwrap();
+                assert_eq!(
+                    engine.count_matches(hay),
+                    reference_find_all(&ast, hay).len(),
+                    "pattern {pattern} (ci {ci}) on {hay:?}"
+                );
+            }
+        }
+    }
+}
+
+/// After a run of word chars the scan must resume in the start state of a
+/// word char: `\B` holds before the `a` of `zzzzzza`, `\b` does not.
+#[test]
+fn regression_count_start_state_after_skipped_run() {
+    for (pattern, expected) in [(r"\Ba", 1), (r"\ba", 0), (r"\B[ab]", 1), (r"[ab]\b", 1)] {
+        for ci in [false, true] {
+            let p = if ci {
+                Pattern::case_insensitive(pattern)
+            } else {
+                Pattern::new(pattern)
+            }
+            .unwrap();
+            assert!(p.counts_with_dfa());
+            assert_eq!(
+                p.count_matches("zzzzzzzza"),
+                expected,
+                "{pattern} (ci {ci})"
+            );
+            count_agrees_with_vm(pattern, "zzzzzzzza", ci).unwrap();
+        }
+    }
 }
 
 /// A set-based DFA sees one match `abcd`-wide; the VM's leftmost-longest

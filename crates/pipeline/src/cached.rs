@@ -112,9 +112,10 @@ pub fn run_batch_stored(
     }
 
     let mut results: Vec<CachedResult> = Vec::with_capacity(docs.len());
+    // A miss runs under its position in `misses`, not its `doc_id`: two
+    // inputs may share an id, and each extraction must meet its own hash.
     let mut misses: Vec<(u64, String)> = Vec::new();
-    let mut miss_meta: BTreeMap<u64, (ContentHash, Option<String>, Option<StoreError>)> =
-        BTreeMap::new();
+    let mut miss_meta: Vec<(u64, ContentHash, Option<String>, Option<StoreError>)> = Vec::new();
     let mut read_errors = 0u64;
 
     for (doc_id, source, html) in docs {
@@ -139,8 +140,8 @@ pub fn run_batch_stored(
                 store_error = Some(e);
             }
         }
-        miss_meta.insert(doc_id, (hash, source, store_error));
-        misses.push((doc_id, html));
+        misses.push((misses.len() as u64, html));
+        miss_meta.push((doc_id, hash, source, store_error));
     }
 
     let hits = results.len() as u64;
@@ -157,11 +158,8 @@ pub fn run_batch_stored(
         // `fresh` and then moved into its result.
         let mut fresh: Vec<StoredDoc> = Vec::new();
         let mut fresh_meta: Vec<(u64, Option<StoreError>)> = Vec::new();
-        for r in report.results {
-            let (hash, source, store_error) =
-                miss_meta
-                    .remove(&r.doc_id)
-                    .unwrap_or((ContentHash::of(&[]), None, None));
+        // `run_batch` returns results sorted by id, here input position.
+        for ((doc_id, hash, source, store_error), r) in miss_meta.into_iter().zip(report.results) {
             match r.outcome {
                 Ok(extraction) => {
                     fresh.push(StoredDoc::from_extraction(
@@ -169,10 +167,10 @@ pub fn run_batch_stored(
                         source.as_deref(),
                         &extraction,
                     ));
-                    fresh_meta.push((r.doc_id, store_error));
+                    fresh_meta.push((doc_id, store_error));
                 }
                 Err(e) => results.push(CachedResult {
-                    doc_id: r.doc_id,
+                    doc_id,
                     hash,
                     cache: CacheStatus::Miss,
                     outcome: Err(e),
@@ -354,6 +352,49 @@ mod tests {
             &mut store,
         );
         assert!(matches!(err, Err(PoolError::ZeroWorkers)));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Two inputs sharing a `doc_id` but not their bytes: each extraction
+    /// must be committed under its own document's hash.
+    #[test]
+    fn duplicate_doc_ids_commit_under_their_own_hashes() {
+        let path = scratch("dupids");
+        let ex = RecordExtractor::default();
+        let mut store = Store::open(&path).expect("open");
+        let page = |name: &str| {
+            let mut d = String::from("<html><body><table><tr><td><h1>List</h1><hr>");
+            for i in 0..3 {
+                d.push_str(&format!(
+                    "<b>{name} {i}</b><br> body text for {name} entry {i}, \
+                     long enough to look like a record.<br><hr>"
+                ));
+            }
+            d.push_str("</td></tr></table></body></html>");
+            d
+        };
+        let (alpha, bravo) = (page("Alpha"), page("Bravo"));
+        let docs = vec![(7, None, alpha.clone()), (7, None, bravo.clone())];
+        let report = run_batch_stored(&ex, docs, &BatchConfig::with_jobs(2), &sink(), &mut store)
+            .expect("valid config");
+        assert_eq!(report.misses, 2);
+        assert!(report.write_error.is_none());
+        for (html, name) in [(&alpha, "Alpha"), (&bravo, "Bravo")] {
+            let hash = ContentHash::of(html.as_bytes());
+            let stored = store.get(&hash).expect("readable").expect("committed");
+            assert_eq!(stored.records.len(), 3);
+            assert!(
+                stored.records.iter().all(|r| r.text.contains(name)),
+                "{name}'s hash serves {:?}",
+                stored.records[0].text
+            );
+            let result = report.results.iter().find(|r| r.hash == hash);
+            assert!(result.is_some_and(|r| r.doc_id == 7));
+        }
+        assert!(store
+            .get(&ContentHash::of(&[]))
+            .expect("readable")
+            .is_none());
         let _ = std::fs::remove_file(&path);
     }
 
