@@ -40,7 +40,7 @@ fn bench_individual_heuristics(h: &mut Harness) {
     group.bench_function("HT", |b| {
         b.iter(|| black_box(HighestCount.rank(black_box(&view))));
     });
-    let it = IdentifiableTags::default();
+    let it = IdentifiableTags;
     group.bench_function("IT", |b| {
         b.iter(|| black_box(it.rank(black_box(&view))));
     });

@@ -11,9 +11,7 @@ use rbd_heuristics::{
     Ranking, SubtreeView,
 };
 use rbd_pattern::PatternError;
-use rbd_recognizer::{
-    estimate_record_count_from_table, DataRecordTable, GovernedRecognition, Recognizer,
-};
+use rbd_recognizer::{DataRecordTable, GovernedRecognition, Recognizer};
 use rbd_tagtree::{CandidateTag, NodeId, TagTree, TagTreeBuilder, TreeError};
 use rbd_trace::{CandidateDecision, NullSink, Span, TraceEvent, TraceSink};
 use std::fmt;
@@ -484,7 +482,7 @@ impl RecordExtractor {
             });
         }
         let ht = HighestCount;
-        let it = IdentifiableTags::default();
+        let it = IdentifiableTags;
         let sd = StandardDeviation;
         let rp = RepeatingPattern::default();
         let others: [&dyn Heuristic; 4] = [&rp, &sd, &it, &ht];
@@ -614,7 +612,14 @@ fn om_from_table(
     degradation: &mut Vec<DegradationEvent>,
     sink: &dyn TraceSink,
 ) -> Option<Ranking> {
-    let Some(estimate) = estimate_record_count_from_table(om.ontology(), &governed.table) else {
+    let estimate = om.estimate_from_counts(|object_set, kind| {
+        governed
+            .table
+            .for_descriptor(object_set)
+            .filter(|e| e.kind == kind)
+            .count()
+    });
+    let Some(estimate) = estimate else {
         if governed.skipped.is_some() {
             note_degradation(
                 degradation,

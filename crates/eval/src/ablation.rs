@@ -110,7 +110,7 @@ fn document_root_point(
     let compound = CompoundHeuristic::new(HeuristicSet::ORSIH, table.clone());
     let (ht, it, sd, rp) = (
         HighestCount,
-        IdentifiableTags::default(),
+        IdentifiableTags,
         StandardDeviation,
         RepeatingPattern::default(),
     );

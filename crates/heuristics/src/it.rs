@@ -21,37 +21,19 @@ pub const PAPER_SEPARATOR_LIST: &[&str] = &[
     "hr", "tr", "td", "a", "table", "p", "br", "h4", "h1", "strong", "b", "i",
 ];
 
-/// The identifiable-separator-tags heuristic.
-#[derive(Debug, Clone)]
-pub struct IdentifiableTags {
-    list: Vec<String>,
-}
-
-impl Default for IdentifiableTags {
-    fn default() -> Self {
-        IdentifiableTags {
-            list: PAPER_SEPARATOR_LIST
-                .iter()
-                .map(|s| (*s).to_owned())
-                .collect(),
-        }
-    }
-}
+/// The identifiable-separator-tags heuristic, over
+/// [`PAPER_SEPARATOR_LIST`]. Stateless.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdentifiableTags;
 
 impl IdentifiableTags {
-    /// Uses the paper's list.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Uses a custom priority list (for ablation experiments).
-    pub fn with_list(list: Vec<String>) -> Self {
-        IdentifiableTags { list }
-    }
-
-    /// The active priority list.
-    pub fn list(&self) -> &[String] {
-        &self.list
+    /// The list's candidates with their 1-based priority, best first.
+    fn listed<'v>(view: &'v SubtreeView<'_>) -> impl Iterator<Item = (usize, &'static str)> + 'v {
+        PAPER_SEPARATOR_LIST
+            .iter()
+            .enumerate()
+            .filter(|(_, tag)| view.slot(tag).is_some())
+            .map(|(i, tag)| (i + 1, *tag))
     }
 }
 
@@ -61,21 +43,13 @@ impl Heuristic for IdentifiableTags {
     }
 
     fn rank(&self, view: &SubtreeView<'_>) -> Option<Ranking> {
-        let ordered: Vec<String> = self
-            .list
-            .iter()
-            .filter(|t| view.is_candidate(t))
-            .cloned()
-            .collect();
+        let ordered = Self::listed(view).map(|(_, t)| t.to_owned()).collect();
         Some(Ranking::from_order(HeuristicKind::IT, ordered))
     }
 
     fn score_inputs(&self, view: &SubtreeView<'_>) -> Vec<(String, f64)> {
-        self.list
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| view.is_candidate(t))
-            .map(|(i, t)| (format!("priority:{t}"), (i + 1) as f64))
+        Self::listed(view)
+            .map(|(priority, t)| (format!("priority:{t}"), priority as f64))
             .collect()
     }
 }
@@ -95,7 +69,7 @@ mod tests {
         let src = "<td><hr><b>A</b><br>x y z<hr><b>B</b><br>x y z<hr><b>C</b><br>x y z<hr></td>";
         let (tree, ()) = view_of(src);
         let view = SubtreeView::from_tree(&tree, DEFAULT_CANDIDATE_THRESHOLD);
-        let r = IdentifiableTags::default().rank(&view).unwrap();
+        let r = IdentifiableTags.rank(&view).unwrap();
         assert_eq!(r.to_paper_string(), "IT: [(hr, 1), (br, 2), (b, 3)]");
     }
 
@@ -104,7 +78,7 @@ mod tests {
         let src = "<td><blink>a</blink><blink>b</blink><hr>c<hr>d</td>";
         let (tree, ()) = view_of(src);
         let view = SubtreeView::from_tree(&tree, DEFAULT_CANDIDATE_THRESHOLD);
-        let r = IdentifiableTags::default().rank(&view).unwrap();
+        let r = IdentifiableTags.rank(&view).unwrap();
         assert_eq!(r.rank_of("hr"), Some(1));
         assert_eq!(r.rank_of("blink"), None);
     }
@@ -115,18 +89,8 @@ mod tests {
             "<td><blink>a</blink><blink>b</blink><marquee>c</marquee><marquee>d</marquee></td>";
         let (tree, ()) = view_of(src);
         let view = SubtreeView::from_tree(&tree, DEFAULT_CANDIDATE_THRESHOLD);
-        let r = IdentifiableTags::default().rank(&view).unwrap();
+        let r = IdentifiableTags.rank(&view).unwrap();
         assert!(r.is_empty());
-    }
-
-    #[test]
-    fn custom_list() {
-        let src = "<td><dt>a</dt><dt>b</dt><dd>c</dd><dd>d</dd></td>";
-        let (tree, ()) = view_of(src);
-        let view = SubtreeView::from_tree(&tree, DEFAULT_CANDIDATE_THRESHOLD);
-        let it = IdentifiableTags::with_list(vec!["dt".into(), "dd".into()]);
-        let r = it.rank(&view).unwrap();
-        assert_eq!(r.best(), Some("dt"));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   </td></tr></table></body></html>";
 //! let tree = TagTreeBuilder::default().build(html);
 //! let view = SubtreeView::from_tree(&tree, 0.10);
-//! let ranking = IdentifiableTags::default().rank(&view).unwrap();
+//! let ranking = IdentifiableTags.rank(&view).unwrap();
 //! assert_eq!(ranking.best(), Some("hr")); // hr leads the separator-tag list
 //! ```
 
@@ -177,7 +177,7 @@ mod tests {
             .build("<td><hr><b>A</b>x text<hr><b>B</b>y text<hr><b>C</b>z text<hr></td>");
         let view = SubtreeView::from_tree(&tree, view::DEFAULT_CANDIDATE_THRESHOLD);
         let ht = ht::HighestCount;
-        let it = it::IdentifiableTags::default();
+        let it = it::IdentifiableTags;
         let sd = sd::StandardDeviation;
         let rp = rp::RepeatingPattern::default();
         let hs: [&dyn Heuristic; 4] = [&rp, &sd, &it, &ht];
@@ -202,7 +202,7 @@ mod tests {
             .build("<td><hr><b>A</b>x text<hr><b>B</b>y text<hr><b>C</b>z text<hr></td>");
         let view = SubtreeView::from_tree(&tree, view::DEFAULT_CANDIDATE_THRESHOLD);
         let ht = ht::HighestCount;
-        let it = it::IdentifiableTags::default();
+        let it = it::IdentifiableTags;
         let hs: [&dyn Heuristic; 2] = [&it, &ht];
 
         let spent = Deadline::after(Duration::ZERO);

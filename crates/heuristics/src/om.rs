@@ -21,16 +21,24 @@ use rbd_pattern::{Pattern, PatternError};
 pub struct OntologyMatching {
     ontology: Ontology,
     rules: MatchingRules,
-    /// The rules OM counts, one list of indices into `rules` per budgeted
-    /// record-identifying field: its rules of the evidence kind the
-    /// selection chose for it (keywords preferred over values). `None`
+    /// The budgeted record-identifying fields OM counts, best first; `None`
     /// when fewer than three fields are available and OM abstains.
-    fields: Option<Vec<Vec<usize>>>,
+    fields: Option<Vec<OmField>>,
+}
+
+/// One record-identifying field OM counts: its object set, the evidence
+/// kind the selection chose for it (keywords preferred over values), and
+/// the indices of its rules of that kind.
+#[derive(Debug, Clone)]
+struct OmField {
+    object_set: String,
+    kind: MatchKind,
+    rules: Vec<usize>,
 }
 
 impl OntologyMatching {
-    /// Compiles the matching rules of `ontology` and chooses the ones OM
-    /// counts.
+    /// Compiles the matching rules of `ontology` and chooses the fields,
+    /// and the rules of each, that OM counts.
     pub fn new(ontology: Ontology) -> Result<Self, PatternError> {
         let rules = ontology.matching_rules()?;
         let selected = ontology.record_identifying_fields();
@@ -44,13 +52,18 @@ impl OntologyMatching {
                     } else {
                         MatchKind::Constant
                     };
-                    rules
-                        .rules()
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, r)| r.object_set == f.object_set.name && r.kind == kind)
-                        .map(|(i, _)| i)
-                        .collect()
+                    let object_set = f.object_set.name.clone();
+                    OmField {
+                        rules: rules
+                            .rules()
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, r)| r.object_set == object_set && r.kind == kind)
+                            .map(|(i, _)| i)
+                            .collect(),
+                        object_set,
+                        kind,
+                    }
                 })
                 .collect()
         });
@@ -76,8 +89,9 @@ impl OntologyMatching {
     }
 
     /// The patterns of one field's rules.
-    fn field_rules<'a>(&'a self, field: &'a [usize]) -> impl Iterator<Item = &'a Pattern> {
+    fn field_rules<'a>(&'a self, field: &'a OmField) -> impl Iterator<Item = &'a Pattern> {
         field
+            .rules
             .iter()
             .filter_map(|&i| self.rules.rules().get(i))
             .map(|r| &r.pattern)
@@ -87,14 +101,31 @@ impl OntologyMatching {
     /// count over the selected record-identifying fields. Returns `None`
     /// (OM abstains) when fewer than three fields are available.
     pub fn estimate_record_count(&self, text: &str) -> Option<f64> {
-        let fields = self.fields.as_ref()?;
-        let counts: Vec<f64> = fields
+        self.average(|field| self.field_rules(field).map(|p| p.count_matches(text)).sum())
+    }
+
+    /// The same estimate from counts made elsewhere: `count(object_set,
+    /// kind)` gives how often the selected field's evidence of the chosen
+    /// kind occurs — the integrated pipeline counts the recognizer's
+    /// Data-Record Table entries instead of scanning again (§4.5: "a
+    /// single scan through the table allows us to obtain the counts we
+    /// need"). `None` exactly when [`OntologyMatching::estimate_record_count`]
+    /// is.
+    pub fn estimate_from_counts(
+        &self,
+        mut count: impl FnMut(&str, MatchKind) -> usize,
+    ) -> Option<f64> {
+        self.average(|field| count(&field.object_set, field.kind))
+    }
+
+    /// The mean of `count` over the selected fields.
+    fn average(&self, count: impl FnMut(&OmField) -> usize) -> Option<f64> {
+        let counts: Vec<f64> = self
+            .fields
+            .as_ref()?
             .iter()
-            .map(|field| {
-                self.field_rules(field)
-                    .map(|p| p.count_matches(text))
-                    .sum::<usize>() as f64
-            })
+            .map(count)
+            .map(|n| n as f64)
             .collect();
         debug_assert!(counts.len() >= 3);
         Some(counts.iter().sum::<f64>() / counts.len() as f64)
@@ -158,8 +189,9 @@ impl OntologyMatching {
     pub fn occurrence_inputs(view: &SubtreeView<'_>) -> Vec<(String, f64)> {
         view.candidates()
             .iter()
-            .map(|c| {
-                let occurrences = view.occurrence_count(&c.name);
+            .enumerate()
+            .map(|(slot, c)| {
+                let occurrences = view.occurrences(slot);
                 (format!("occurrences:{}", c.name), occurrences as f64)
             })
             .collect()
@@ -177,8 +209,9 @@ impl OntologyMatching {
         let scores: Vec<(String, f64)> = view
             .candidates()
             .iter()
-            .map(|c| {
-                let occurrences = view.occurrence_count(&c.name) as f64;
+            .enumerate()
+            .map(|(slot, c)| {
+                let occurrences = view.occurrences(slot) as f64;
                 (c.name.clone(), (occurrences - estimate).abs())
             })
             .collect();

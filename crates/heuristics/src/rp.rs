@@ -37,54 +37,68 @@ impl Heuristic for RepeatingPattern {
     }
 
     fn rank(&self, view: &SubtreeView<'_>) -> Option<Ranking> {
-        let candidates = view.candidates();
-        if candidates.is_empty() {
+        if view.candidates().is_empty() {
             return None;
         }
-        let lowest = candidates
-            .iter()
-            .map(|c| view.occurrence_count(&c.name))
-            .min()
-            .unwrap_or(0) as f64;
-        let min_count = self.threshold * lowest;
+        let min_count = self.pair_count_floor(view);
 
-        let mut best: Vec<(String, f64)> = Vec::new();
-        let mut note = |tag: &str, diff: f64| match best.iter_mut().find(|(t, _)| t == tag) {
+        // Each slot's best (smallest) difference, in first-noted order.
+        let mut best: Vec<(usize, f64)> = Vec::new();
+        let mut note = |slot: usize, diff: f64| match best.iter_mut().find(|(s, _)| *s == slot) {
             Some((_, d)) => *d = d.min(diff),
-            None => best.push((tag.to_owned(), diff)),
+            None => best.push((slot, diff)),
         };
 
-        for (a, b, pair_count) in view.adjacent_candidate_pairs() {
-            if (pair_count as f64) <= min_count {
+        for pair in view.adjacent_pairs() {
+            let count = pair.count as f64;
+            if count <= min_count {
                 continue;
             }
-            let ca = view.occurrence_count(&a) as f64;
-            let cb = view.occurrence_count(&b) as f64;
-            note(&a, (pair_count as f64 - ca).abs());
-            note(&b, (pair_count as f64 - cb).abs());
+            note(
+                pair.first,
+                (count - view.occurrences(pair.first) as f64).abs(),
+            );
+            note(
+                pair.second,
+                (count - view.occurrences(pair.second) as f64).abs(),
+            );
         }
 
         if best.is_empty() {
             return None; // §4.4: "the list may be empty … RP simply does not supply an answer"
         }
-        Some(Ranking::from_scores(HeuristicKind::RP, best, true))
+        let scores = best
+            .into_iter()
+            .filter_map(|(slot, diff)| Some((view.candidates().get(slot)?.name.clone(), diff)))
+            .collect();
+        Some(Ranking::from_scores(HeuristicKind::RP, scores, true))
     }
 
     fn score_inputs(&self, view: &SubtreeView<'_>) -> Vec<(String, f64)> {
-        let lowest = view
-            .candidates()
-            .iter()
-            .map(|c| view.occurrence_count(&c.name))
-            .min()
-            .unwrap_or(0) as f64;
-        let min_count = self.threshold * lowest;
+        let min_count = self.pair_count_floor(view);
+        let name = |slot: usize| view.candidates().get(slot).map_or("", |c| c.name.as_str());
         let mut inputs = vec![("pair_count_floor".to_owned(), min_count)];
-        for (a, b, pair_count) in view.adjacent_candidate_pairs() {
-            if (pair_count as f64) > min_count {
-                inputs.push((format!("pair:{a}+{b}"), pair_count as f64));
+        for pair in view.adjacent_pairs() {
+            if (pair.count as f64) > min_count {
+                inputs.push((
+                    format!("pair:{}+{}", name(pair.first), name(pair.second)),
+                    pair.count as f64,
+                ));
             }
         }
         inputs
+    }
+}
+
+impl RepeatingPattern {
+    /// The count a pair must exceed: `threshold` times the lowest
+    /// occurrence count among the candidates.
+    fn pair_count_floor(&self, view: &SubtreeView<'_>) -> f64 {
+        let lowest = (0..view.candidates().len())
+            .map(|slot| view.occurrences(slot))
+            .min()
+            .unwrap_or(0);
+        self.threshold * lowest as f64
     }
 }
 

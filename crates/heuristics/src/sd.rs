@@ -40,7 +40,7 @@ impl Heuristic for StandardDeviation {
         let scores: Vec<(String, f64)> = view
             .candidates()
             .iter()
-            .zip(view.candidate_text_offsets())
+            .zip(view.text_offsets())
             .map(|(c, offsets)| {
                 let intervals: Vec<f64> =
                     offsets.windows(2).map(|w| (w[1] - w[0]) as f64).collect();
@@ -53,7 +53,7 @@ impl Heuristic for StandardDeviation {
     fn score_inputs(&self, view: &SubtreeView<'_>) -> Vec<(String, f64)> {
         view.candidates()
             .iter()
-            .zip(view.candidate_text_offsets())
+            .zip(view.text_offsets())
             .map(|(c, offsets)| {
                 let intervals = offsets.len().saturating_sub(1);
                 (format!("intervals:{}", c.name), intervals as f64)
@@ -130,7 +130,7 @@ mod tests {
         let src = "<td><hr>éé<hr>ab<hr>éé<hr></td>";
         let tree = TagTreeBuilder::default().build(src);
         let view = SubtreeView::from_tree(&tree, 0.0);
-        let offsets = &view.candidate_text_offsets()[0];
+        let offsets = &view.text_offsets()[0];
         assert_eq!(view.candidates()[0].name, "hr");
         let intervals: Vec<usize> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
         assert_eq!(intervals, vec![2, 2, 2]);

@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 use rbd_limits::{Deadline, LimitExceeded};
-use rbd_ontology::rules::om_field_budget;
 use rbd_ontology::{MatchKind, MatchingRules, Ontology};
 use rbd_pattern::PatternError;
 use std::fmt;
@@ -244,35 +243,6 @@ impl GovernedRecognition {
     pub fn is_complete(&self) -> bool {
         self.truncation.is_none() && self.skipped.is_none()
     }
-}
-
-/// Estimates the number of records represented in a Data-Record Table —
-/// the OM heuristic's §4.5 estimate computed from recognition output
-/// instead of a fresh scan ("a single scan through the table allows us to
-/// obtain the counts we need"). Returns `None` when the ontology offers
-/// fewer than three record-identifying fields.
-pub fn estimate_record_count_from_table(
-    ontology: &Ontology,
-    table: &DataRecordTable,
-) -> Option<f64> {
-    let fields = ontology.record_identifying_fields();
-    let budget = om_field_budget(ontology, fields.len())?;
-    let counts: Vec<f64> = fields
-        .iter()
-        .take(budget)
-        .map(|f| {
-            let kind = if f.via_keywords {
-                MatchKind::Keyword
-            } else {
-                MatchKind::Constant
-            };
-            table
-                .for_descriptor(&f.object_set.name)
-                .filter(|e| e.kind == kind)
-                .count() as f64
-        })
-        .collect();
-    Some(counts.iter().sum::<f64>() / counts.len() as f64)
 }
 
 fn kind_order(kind: MatchKind) -> u8 {

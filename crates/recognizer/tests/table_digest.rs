@@ -11,7 +11,7 @@
 
 use rbd_corpus::{generate_document, sites, Domain};
 use rbd_ontology::MatchKind;
-use rbd_recognizer::{estimate_record_count_from_table, DataRecordTable, Recognizer};
+use rbd_recognizer::{DataRecordTable, Recognizer};
 
 /// The corpus seed the evaluation suites use (`rbd_eval::DEFAULT_SEED`).
 const CORPUS_SEED: u64 = 1496;
@@ -109,7 +109,12 @@ fn table_estimate_matches_fresh_scan_estimate() {
         let doc = generate_document(style, domain, 0, 1998);
         let text = rbd_html::tokenize(&doc.html).plain_text();
         let table = rec.recognize(&text);
-        let from_table = estimate_record_count_from_table(&ontology, &table);
+        let from_table = om.estimate_from_counts(|object_set, kind| {
+            table
+                .for_descriptor(object_set)
+                .filter(|e| e.kind == kind)
+                .count()
+        });
         let from_scan = om.estimate_record_count(&text);
         assert_eq!(from_table, from_scan, "{domain}");
     }

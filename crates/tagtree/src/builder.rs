@@ -159,7 +159,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::tree::FlatEvent;
+    use crate::tree::{NodeId, TagTree};
     use rbd_prop::{check, gen, prop_assert, prop_assert_eq, Gen};
 
     /// A small grammar of messy HTML fragments.
@@ -220,11 +220,42 @@ mod proptests {
         });
     }
 
-    /// The arena invariant chunking and the heuristic view rely on: every
+    /// The text of the subtree rooted at `id` read node by node: the
+    /// root's inner text, then each descendant's inner text on entry and
+    /// trailing text on exit, in document order.
+    fn text_by_nodes(tree: &TagTree, id: NodeId) -> String {
+        enum Walk {
+            Enter(NodeId),
+            Exit(NodeId),
+        }
+        let mut out = String::from(tree.inner_text(id));
+        let mut stack: Vec<Walk> = tree
+            .node(id)
+            .children
+            .iter()
+            .rev()
+            .map(|&c| Walk::Enter(c))
+            .collect();
+        while let Some(item) = stack.pop() {
+            match item {
+                Walk::Enter(n) => {
+                    out.push_str(tree.inner_text(n));
+                    stack.push(Walk::Exit(n));
+                    stack.extend(tree.node(n).children.iter().rev().map(|&c| Walk::Enter(c)));
+                }
+                Walk::Exit(n) => out.push_str(tree.trailing_text(n)),
+            }
+        }
+        out
+    }
+
+    /// The arena invariants chunking and the heuristic view rely on: every
     /// node's subtree text is the one arena slice `[inner.start,
-    /// trailing.start)` (to the arena's end for the root), equal to the
-    /// text `flatten` yields; and node spans never run backwards in
-    /// preorder.
+    /// trailing.start)` (to the arena's end for the root), equal to its
+    /// nodes' inner and trailing texts in document order; node spans never
+    /// run backwards in preorder; and the subtree of `id` is exactly the
+    /// arena ids `id+1 ..= id + subtree_tag_count(id)`, which
+    /// `descendant_tags` reads with each one's name and arena offset.
     #[test]
     fn subtree_text_is_one_arena_slice() {
         check("subtree_text_is_one_arena_slice", &arb_fragment(), |src| {
@@ -232,15 +263,21 @@ mod proptests {
             let arena = tree.plain_text().len();
             let mut last_start = 0;
             for id in tree.ids() {
-                let joined: String = tree
-                    .flatten(id)
-                    .iter()
-                    .filter_map(|ev| match ev {
-                        FlatEvent::Text { text } => Some(*text),
-                        FlatEvent::Tag { .. } => None,
-                    })
+                prop_assert_eq!(tree.subtree_text(id), text_by_nodes(&tree, id));
+                let below = tree.descendants(id);
+                let range: Vec<NodeId> = tree
+                    .ids()
+                    .skip(id.index())
+                    .take(tree.subtree_tag_count(id) + 1)
                     .collect();
-                prop_assert_eq!(tree.subtree_text(id), joined);
+                prop_assert_eq!(&below, &range);
+                let tags: Vec<_> = tree.descendant_tags(id).collect();
+                let expected: Vec<_> = below
+                    .iter()
+                    .skip(1)
+                    .map(|&n| (tree.node(n).name, tree.node(n).inner.start))
+                    .collect();
+                prop_assert_eq!(tags, expected);
                 let node = tree.node(id);
                 prop_assert!(
                     last_start <= node.inner.start,

@@ -16,8 +16,11 @@
 //!    tag).
 //! 3. **Analysis** ([`tree`]): locate the highest-fan-out subtree, classify
 //!    each child start-tag as *irrelevant* (appearance count below 10 % of
-//!    the subtree's tag total) or *candidate*, and expose a flattened
-//!    subtree view the five heuristics consume.
+//!    the subtree's tag total) or *candidate*, and expose the subtree's
+//!    start tags as one arena slice ([`TagTree::descendant_tags`]): a
+//!    subtree is the contiguous run of nodes after its root, each tag
+//!    carries its interned name and text-arena offset, and the heuristic
+//!    view fills every per-candidate table in one pass over it.
 //!
 //! The whole pipeline is `O(n)` in the document length, matching the paper's
 //! complexity claim (verified empirically by `rbd-bench`'s `complexity`
@@ -53,4 +56,4 @@ pub mod tree;
 
 pub use builder::TagTreeBuilder;
 pub use event::{normalize, Event, NormalizeStats};
-pub use tree::{CandidateTag, FlatEvent, Node, NodeId, TagTree, TreeBudget, TreeError};
+pub use tree::{CandidateTag, Node, NodeId, TagTree, TreeBudget, TreeError};

@@ -149,36 +149,10 @@ impl Node {
 pub struct CandidateTag {
     /// Tag name.
     pub name: String,
+    /// The name interned in the tree's [`SymbolTable`].
+    pub sym: Sym,
     /// Number of appearances among the subtree root's immediate children.
     pub count: usize,
-}
-
-/// One element of a flattened subtree view, in document order. The five
-/// heuristics consume this instead of re-walking the tree. Names and text
-/// borrow from the tree, so flattening allocates nothing per event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FlatEvent<'t> {
-    /// A start-tag occurrence.
-    Tag {
-        /// Tag name.
-        name: &'t str,
-        /// Depth below the flattened subtree's root (children = 1).
-        depth: usize,
-        /// Source byte offset of the start tag (used to chunk records).
-        src_pos: usize,
-    },
-    /// A run of plain text.
-    Text {
-        /// The text content.
-        text: &'t str,
-    },
-}
-
-impl FlatEvent<'_> {
-    /// `true` if this is a text event consisting only of whitespace.
-    pub fn is_whitespace(&self) -> bool {
-        matches!(self, FlatEvent::Text { text } if text.chars().all(char::is_whitespace))
-    }
 }
 
 /// The tag tree of a document (paper Figure 2(b)), stored as an arena.
@@ -339,23 +313,23 @@ impl TagTree {
 
     /// Number of start-tags in the subtree rooted at `id`, excluding `id`
     /// itself — the paper's "total number of tags in the subtree rooted at
-    /// N" used as the base of the 10 % irrelevance threshold.
-    ///
-    /// Counts with an explicit-stack walk instead of materializing the
-    /// descendant list: the old `descendants(id).len() - 1` allocated a
-    /// subtree-sized `Vec` just to throw it away (and its `- 1` relied on
-    /// the walk always yielding `id` itself). Every node is counted once as
-    /// its parent's child, so the sum of child-list lengths over the
-    /// subtree *is* the descendant count — no subtraction involved.
+    /// N" used as the base of the 10 % irrelevance threshold: the length
+    /// of the subtree's arena run.
     pub fn subtree_tag_count(&self, id: NodeId) -> usize {
-        let mut count = 0usize;
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            let children = &self.node(n).children;
-            count = count.saturating_add(children.len());
-            stack.extend(children.iter().copied());
+        self.descendant_range(id).len()
+    }
+
+    /// Arena indices of the subtree rooted at `id`, excluding `id`. The
+    /// builder pushes every node at its start tag, so a subtree is the
+    /// contiguous run of ids after its root that ends at the root's
+    /// last-child chain; finding it costs the subtree's depth, not its
+    /// size.
+    fn descendant_range(&self, id: NodeId) -> std::ops::Range<usize> {
+        let mut last = id;
+        while let Some(&c) = self.node(last).children.last() {
+            last = c;
         }
-        count
+        id.index() + 1..last.index() + 1
     }
 
     /// Appearance counts of each start-tag among the *immediate children*
@@ -377,6 +351,7 @@ impl TagTree {
             .into_iter()
             .map(|sym| CandidateTag {
                 name: self.symbols.resolve(sym).to_owned(),
+                sym,
                 count: counts.get(sym.index()).copied().unwrap_or(0),
             })
             .collect()
@@ -403,57 +378,19 @@ impl TagTree {
             .collect()
     }
 
-    /// Flattens the subtree rooted at `id` into document-order events:
-    /// every descendant start-tag plus every run of plain text (inner and
-    /// trailing). The subtree root's own tag is *not* included; its inner
-    /// text is.
-    pub fn flatten(&self, id: NodeId) -> Vec<FlatEvent<'_>> {
-        // Explicit-stack walk: tag + inner text on entry, trailing text on
-        // exit. Depth is bounded by the source, not the call stack, so a
-        // deep-nesting tower cannot overflow here.
-        enum Walk {
-            Enter(NodeId, usize),
-            Exit(NodeId),
-        }
-        let mut out = Vec::new();
-        let root_inner = self.inner_text(id);
-        if !root_inner.is_empty() {
-            out.push(FlatEvent::Text { text: root_inner });
-        }
-        let mut stack: Vec<Walk> = self
-            .node(id)
-            .children
+    /// The start tags of the subtree rooted at `id`, excluding `id`'s own,
+    /// in document order: each tag's interned name and the text-arena
+    /// offset at which it stands, so the text between two consecutive
+    /// tags is the arena slice between their offsets.
+    ///
+    /// The subtree is one run of the arena, so this walks a slice, not
+    /// the tree.
+    pub fn descendant_tags(&self, id: NodeId) -> impl Iterator<Item = (Sym, usize)> + '_ {
+        self.nodes
+            .get(self.descendant_range(id))
+            .unwrap_or_default()
             .iter()
-            .rev()
-            .map(|&c| Walk::Enter(c, 1))
-            .collect();
-        while let Some(item) = stack.pop() {
-            match item {
-                Walk::Enter(id, depth) => {
-                    let node = self.node(id);
-                    out.push(FlatEvent::Tag {
-                        name: self.symbols.resolve(node.name),
-                        depth,
-                        src_pos: node.start_tag.start,
-                    });
-                    let inner = self.inner_text(id);
-                    if !inner.is_empty() {
-                        out.push(FlatEvent::Text { text: inner });
-                    }
-                    stack.push(Walk::Exit(id));
-                    for &c in node.children.iter().rev() {
-                        stack.push(Walk::Enter(c, depth + 1));
-                    }
-                }
-                Walk::Exit(id) => {
-                    let trailing = self.trailing_text(id);
-                    if !trailing.is_empty() {
-                        out.push(FlatEvent::Text { text: trailing });
-                    }
-                }
-            }
-        }
-        out
+            .map(|n| (n.name, n.inner.start))
     }
 
     /// Concatenated plain text of the subtree rooted at `id`: a slice of
@@ -724,18 +661,16 @@ mod tests {
     }
 
     #[test]
-    fn flatten_depth_and_order() {
-        use super::FlatEvent;
+    fn descendant_tags_in_document_order() {
         let tree = build("<div><p>x<b>y</b></p><hr></div>");
         let div = tree.ids().find(|&i| tree.name(i) == "div").unwrap();
-        let flat = tree.flatten(div);
-        let mut tags = vec![];
-        for ev in &flat {
-            if let FlatEvent::Tag { name, depth, .. } = ev {
-                tags.push((*name, *depth));
-            }
-        }
-        assert_eq!(tags, vec![("p", 1), ("b", 2), ("hr", 1)]);
+        let tags: Vec<(&str, usize)> = tree
+            .descendant_tags(div)
+            .map(|(sym, at)| (tree.symbols().resolve(sym), at))
+            .collect();
+        assert_eq!(tags, vec![("p", 0), ("b", 1), ("hr", 2)]);
+        let leaf = tree.ids().find(|&i| tree.name(i) == "hr").unwrap();
+        assert_eq!(tree.descendant_tags(leaf).count(), 0);
     }
 
     #[test]
@@ -786,10 +721,9 @@ mod tests {
     }
 
     #[test]
-    fn subtree_tag_count_is_allocation_free_walk() {
-        // Regression for the old `descendants(id).len() - 1` form: the
-        // counting walk must agree with the materializing walk everywhere,
-        // and a leaf (where the subtraction path had zero slack) counts 0.
+    fn subtree_tag_count_agrees_with_the_children_walk() {
+        // The arena-run length must agree with the walk over child lists
+        // everywhere, and a leaf counts 0.
         let tree = build("<a><b><c>x</c></b><d></d></a><e>leaf</e>");
         for id in tree.ids() {
             assert_eq!(
@@ -869,14 +803,14 @@ mod tests {
     }
 
     #[test]
-    fn deep_flatten_is_iterative() {
-        // flatten() must survive nesting far beyond any call stack; 100k
-        // levels would overflow a recursive walk in debug builds.
+    fn deep_descendant_tags_are_iterative() {
+        // The last-child chain must survive nesting far beyond any call
+        // stack; 100k levels would overflow a recursive walk in debug
+        // builds.
         let depth = 100_000;
         let tree = build(&nested_divs(depth));
         assert_eq!(tree.len(), depth + 1);
-        let flat = tree.flatten(tree.root());
-        assert_eq!(flat.len(), depth + 1); // one tag per div + the text run
+        assert_eq!(tree.descendant_tags(tree.root()).count(), depth);
     }
 
     #[test]
