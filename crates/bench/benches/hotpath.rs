@@ -8,8 +8,8 @@
 //!   bandwidth and clock, not with this repository's code.
 //! * `tokenize` — [`rbd_html::Tokenizer`] alone, over 16 KiB – 1 MiB
 //!   documents.
-//! * `tokenize_tree` — tokenize plus tag-tree construction
-//!   ([`TagTreeBuilder::try_build_from_tokens`]): the full hot path every
+//! * `tokenize_tree` — the tokenizer streaming straight into tag-tree
+//!   construction ([`TagTreeBuilder::try_build`]): the full hot path every
 //!   extraction pays before the heuristics run.
 //!
 //! ## The regression gate
@@ -36,6 +36,7 @@ use rbd_corpus::{generate_document, sites, Domain};
 use rbd_html::Tokenizer;
 use rbd_json::{Json, ToJson};
 use rbd_tagtree::TagTreeBuilder;
+use rbd_trace::NullSink;
 use std::path::PathBuf;
 
 /// Document sizes the hot arms sweep, in KiB.
@@ -106,10 +107,7 @@ fn bench_tokenize_tree(h: &mut Harness, docs: &[(usize, String)]) {
     for (kb, doc) in docs {
         group.throughput_bytes(doc.len() as u64);
         group.bench_function(&format!("{kb}KiB"), |b| {
-            b.iter(|| {
-                let tokens = Tokenizer::new(black_box(doc)).run();
-                black_box(builder.try_build_from_tokens(doc.len(), &tokens))
-            });
+            b.iter(|| black_box(builder.try_build(black_box(doc), &NullSink)));
         });
     }
     group.finish();

@@ -13,8 +13,9 @@ use std::collections::HashMap;
 ///
 /// `Sym`s are only meaningful relative to the table that minted them;
 /// resolving a `Sym` against a different document's table yields an
-/// arbitrary (or empty) name, never a panic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// arbitrary (or empty) name, never a panic. `Sym::default()` is the first
+/// id a table mints.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Sym(u32);
 
 impl Sym {

@@ -24,6 +24,10 @@
 //! checks untrusted input against a [`TokenBudget`] first, and the
 //! tag-tree builder (`rbd-tagtree`'s `TagTreeBuilder::try_build`) does
 //! both that check and the `tokenize` span and event of the audit trail.
+//! Both entry points collect into a [`TokenStream`]; [`Tokenizer::feed`]
+//! hands each token and warning to any [`TokenSink`] as it is scanned
+//! instead, which is how the tag-tree builder builds while the tokens
+//! arrive, with no token vector in between.
 //!
 //! Tokens are zero-copy views of the source: tag names are interned
 //! [`Sym`]s resolved against the stream's [`SymbolTable`], and text tokens
@@ -63,33 +67,8 @@ pub use span::Span;
 pub use squeeze::squeeze_whitespace;
 pub use token::{Attribute, EndTag, StartTag, Text, Token};
 pub use tokenizer::{
-    tokenize, tokenize_xml, TokenBudget, TokenStream, Tokenizer, Warning, WarningKind,
+    tokenize, tokenize_xml, TokenBudget, TokenSink, TokenStream, Tokenizer, Warning, WarningKind,
 };
-
-/// Returns `true` for element names that, in pre-HTML5 practice, never take
-/// an end tag ("void" elements). The tag-tree builder uses this only as a
-/// hint for diagnostics; the paper's algorithm closes *any* dangling
-/// start-tag at the next enclosing end-tag, so correctness does not depend
-/// on this list.
-pub fn is_void_element(name: &str) -> bool {
-    matches!(
-        name,
-        "area"
-            | "base"
-            | "basefont"
-            | "br"
-            | "col"
-            | "frame"
-            | "hr"
-            | "img"
-            | "input"
-            | "isindex"
-            | "link"
-            | "meta"
-            | "param"
-            | "wbr"
-    )
-}
 
 /// Returns `true` for elements whose content is raw text (no nested markup):
 /// the tokenizer treats everything until the matching end tag as text.
@@ -100,14 +79,6 @@ pub fn is_raw_text_element(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn void_elements_include_hr_and_br() {
-        assert!(is_void_element("hr"));
-        assert!(is_void_element("br"));
-        assert!(!is_void_element("b"));
-        assert!(!is_void_element("td"));
-    }
 
     #[test]
     fn raw_text_elements() {

@@ -81,6 +81,26 @@ impl<'a> TokenStream<'a> {
     }
 }
 
+/// Where a [`Tokenizer`] delivers its output: every token and every
+/// warning, each in document order. A [`TokenStream`] is the sink that
+/// keeps them all; the tag-tree builder is one that builds as they arrive.
+pub trait TokenSink<'a> {
+    /// Takes the next token.
+    fn token(&mut self, token: Token<'a>);
+    /// Takes the next warning: what went wrong, and where.
+    fn warning(&mut self, kind: WarningKind, span: Span);
+}
+
+impl<'a> TokenSink<'a> for TokenStream<'a> {
+    fn token(&mut self, token: Token<'a>) {
+        self.tokens.push(token);
+    }
+
+    fn warning(&mut self, kind: WarningKind, span: Span) {
+        self.warnings.push(Warning { kind, span });
+    }
+}
+
 /// Tokenizes an HTML document. Never fails; malformed constructs degrade to
 /// text and produce [`Warning`]s.
 pub fn tokenize(source: &str) -> TokenStream<'_> {
@@ -108,12 +128,6 @@ pub struct TokenBudget {
 }
 
 impl TokenBudget {
-    /// A budget with no caps — `check` always passes.
-    #[must_use]
-    pub fn unbounded() -> Self {
-        TokenBudget::default()
-    }
-
     /// A budget capping the input at `max_input_bytes`.
     #[must_use]
     pub fn with_max_input_bytes(max_input_bytes: usize) -> Self {
@@ -142,12 +156,14 @@ impl TokenBudget {
 /// Streaming tokenizer over a borrowed source document.
 ///
 /// Most callers want the convenience function [`tokenize`]; the struct form
-/// exists so the tag-tree builder can reuse the scanner incrementally.
+/// exists so a caller can hand the tokens to its own [`TokenSink`] as they
+/// are scanned ([`Tokenizer::feed`]) instead of collecting them.
 pub struct Tokenizer<'a> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
-    out: TokenStream<'a>,
+    /// Interned tag names seen so far.
+    symbols: SymbolTable,
     /// When `Some(name)`, we are inside a raw-text element and scan for its
     /// end tag only.
     raw_text: Option<Sym>,
@@ -167,7 +183,7 @@ impl<'a> Tokenizer<'a> {
             src: source,
             bytes: source.as_bytes(),
             pos: 0,
-            out: TokenStream::default(),
+            symbols: SymbolTable::new(),
             raw_text: None,
             scratch: String::new(),
             xml: false,
@@ -183,21 +199,29 @@ impl<'a> Tokenizer<'a> {
         }
     }
 
-    /// Runs the tokenizer to completion.
-    pub fn run(mut self) -> TokenStream<'a> {
+    /// Runs the tokenizer to completion, collecting every token.
+    pub fn run(self) -> TokenStream<'a> {
+        let mut out = TokenStream::default();
+        out.symbols = self.feed(&mut out);
+        out
+    }
+
+    /// Runs the tokenizer to completion, handing each token and warning to
+    /// `sink` as it is scanned. Returns the symbol table the tokens' tag
+    /// names resolve against.
+    pub fn feed<S: TokenSink<'a>>(mut self, sink: &mut S) -> SymbolTable {
         while let Some(b) = self.byte(self.pos) {
             if let Some(sym) = self.raw_text.take() {
-                let name = self.out.symbols.resolve(sym).to_owned();
-                self.scan_raw_text(&name);
+                self.scan_raw_text(sym, sink);
                 continue;
             }
             if b == b'<' {
-                self.scan_markup();
+                self.scan_markup(sink);
             } else {
-                self.scan_text();
+                self.scan_text(sink);
             }
         }
-        self.out
+        self.symbols
     }
 
     /// The byte at `i`, or `None` past the end. The panic-free accessor
@@ -219,25 +243,27 @@ impl<'a> Tokenizer<'a> {
         self.src.get(start..).unwrap_or("")
     }
 
-    fn warn(&mut self, kind: WarningKind, span: Span) {
-        self.out.warnings.push(Warning { kind, span });
-    }
-
     /// Consumes plain text up to the next `<` (or EOF) and emits a Text
     /// token unless the run is entirely empty. One fused SWAR pass finds
     /// the boundary and learns whether the run needs entity decoding.
-    fn scan_text(&mut self) {
+    fn scan_text<S: TokenSink<'a>>(&mut self, sink: &mut S) {
         let start = self.pos;
         let (end, has_amp) = scan_text_run(self.bytes, start);
         self.pos = end;
-        self.emit_text(start, end, has_amp);
+        self.emit_text(start, end, has_amp, sink);
     }
 
-    fn emit_text(&mut self, start: usize, end: usize, decode: bool) {
+    fn emit_text<S: TokenSink<'a>>(
+        &mut self,
+        start: usize,
+        end: usize,
+        decode: bool,
+        sink: &mut S,
+    ) {
         if start == end {
             return;
         }
-        self.out.tokens.push(Token::Text(Text {
+        sink.token(Token::Text(Text {
             raw: self.slice(start, end),
             decode,
             span: Span::new(start, end),
@@ -245,31 +271,31 @@ impl<'a> Tokenizer<'a> {
     }
 
     /// Dispatches on the character after `<`.
-    fn scan_markup(&mut self) {
+    fn scan_markup<S: TokenSink<'a>>(&mut self, sink: &mut S) {
         let start = self.pos;
         debug_assert_eq!(self.byte(start), Some(b'<'));
         match self.byte(start + 1) {
-            Some(b'!') => self.scan_declaration(start),
-            Some(b'?') => self.scan_processing_instruction(start),
-            Some(b'/') => self.scan_end_tag(start),
-            Some(c) if c.is_ascii_alphabetic() => self.scan_start_tag(start),
+            Some(b'!') => self.scan_declaration(start, sink),
+            Some(b'?') => self.scan_processing_instruction(start, sink),
+            Some(b'/') => self.scan_end_tag(start, sink),
+            Some(c) if c.is_ascii_alphabetic() => self.scan_start_tag(start, sink),
             _ => {
                 // `<` followed by junk: emit the `<` as text, keep going.
-                self.warn(WarningKind::StrayLessThan, Span::new(start, start + 1));
+                sink.warning(WarningKind::StrayLessThan, Span::new(start, start + 1));
                 self.pos = start + 1;
-                self.emit_text(start, start + 1, false);
+                self.emit_text(start, start + 1, false, sink);
             }
         }
     }
 
     /// `<!-- … -->`, `<!DOCTYPE …>`, `<![CDATA[…]]>` (XML mode), or any
     /// other `<!…>` construct.
-    fn scan_declaration(&mut self, start: usize) {
+    fn scan_declaration<S: TokenSink<'a>>(&mut self, start: usize, sink: &mut S) {
         if self.xml && self.slice_from(start).starts_with("<![CDATA[") {
             let body_start = start + 9;
             match find_sub(self.bytes, b"]]>", body_start) {
                 Some(end) => {
-                    self.out.tokens.push(Token::Text(Text {
+                    sink.token(Token::Text(Text {
                         raw: self.slice(body_start, end),
                         decode: false,
                         span: Span::new(start, end + 3),
@@ -278,8 +304,8 @@ impl<'a> Tokenizer<'a> {
                 }
                 None => {
                     let span = Span::new(start, self.bytes.len());
-                    self.warn(WarningKind::UnterminatedComment, span);
-                    self.out.tokens.push(Token::Text(Text {
+                    sink.warning(WarningKind::UnterminatedComment, span);
+                    sink.token(Token::Text(Text {
                         raw: self.slice_from(body_start),
                         decode: false,
                         span,
@@ -293,13 +319,13 @@ impl<'a> Tokenizer<'a> {
             match find_sub(self.bytes, b"-->", start + 4) {
                 Some(end) => {
                     let span = Span::new(start, end + 3);
-                    self.out.tokens.push(Token::Comment(span));
+                    sink.token(Token::Comment(span));
                     self.pos = end + 3;
                 }
                 None => {
                     let span = Span::new(start, self.bytes.len());
-                    self.warn(WarningKind::UnterminatedComment, span);
-                    self.out.tokens.push(Token::Comment(span));
+                    sink.warning(WarningKind::UnterminatedComment, span);
+                    sink.token(Token::Comment(span));
                     self.pos = self.bytes.len();
                 }
             }
@@ -310,7 +336,7 @@ impl<'a> Tokenizer<'a> {
         let close = (end < self.bytes.len()) as usize;
         let span = Span::new(start, end + close);
         if close == 0 {
-            self.warn(WarningKind::UnterminatedComment, span);
+            sink.warning(WarningKind::UnterminatedComment, span);
         }
         let body = self.slice(start + 2, end);
         // `get(..7)` rather than slicing: the body may hold multibyte text
@@ -319,26 +345,26 @@ impl<'a> Tokenizer<'a> {
             .get(..7)
             .is_some_and(|p| p.eq_ignore_ascii_case("doctype"))
         {
-            self.out.tokens.push(Token::Doctype(span));
+            sink.token(Token::Doctype(span));
         } else {
             // The paper treats every `<!…` tag as a comment to discard.
-            self.out.tokens.push(Token::Comment(span));
+            sink.token(Token::Comment(span));
         }
         self.pos = end + close;
     }
 
-    fn scan_processing_instruction(&mut self, start: usize) {
+    fn scan_processing_instruction<S: TokenSink<'a>>(&mut self, start: usize, sink: &mut S) {
         let end = find_byte(self.bytes, b'>', start + 2).unwrap_or(self.bytes.len());
         let close = (end < self.bytes.len()) as usize;
         let span = Span::new(start, end + close);
         if close == 0 {
-            self.warn(WarningKind::UnterminatedTag, span);
+            sink.warning(WarningKind::UnterminatedTag, span);
         }
-        self.out.tokens.push(Token::ProcessingInstruction(span));
+        sink.token(Token::ProcessingInstruction(span));
         self.pos = end + close;
     }
 
-    fn scan_end_tag(&mut self, start: usize) {
+    fn scan_end_tag<S: TokenSink<'a>>(&mut self, start: usize, sink: &mut S) {
         // `</` then name then optional junk then `>`.
         let name_start = start + 2;
         let mut i = name_start;
@@ -347,9 +373,9 @@ impl<'a> Tokenizer<'a> {
         }
         if i == name_start {
             // `</>` or `</ …`: treat as stray text.
-            self.warn(WarningKind::StrayLessThan, Span::new(start, start + 2));
+            sink.warning(WarningKind::StrayLessThan, Span::new(start, start + 2));
             self.pos = start + 1;
-            self.emit_text(start, start + 1, false);
+            self.emit_text(start, start + 1, false, sink);
             return;
         }
         let name = self.tag_name(name_start, i);
@@ -357,29 +383,29 @@ impl<'a> Tokenizer<'a> {
         let close = (end < self.bytes.len()) as usize;
         let span = Span::new(start, end + close);
         if close == 0 {
-            self.warn(WarningKind::UnterminatedTag, span);
+            sink.warning(WarningKind::UnterminatedTag, span);
         }
-        self.out.tokens.push(Token::End(EndTag { name, span }));
+        sink.token(Token::End(EndTag { name, span }));
         self.pos = end + close;
     }
 
-    fn scan_start_tag(&mut self, start: usize) {
+    fn scan_start_tag<S: TokenSink<'a>>(&mut self, start: usize, sink: &mut S) {
         let name_start = start + 1;
         let mut i = name_start;
         while self.byte(i).is_some_and(is_name_byte) {
             i += 1;
         }
         let name = self.tag_name(name_start, i);
-        let (attrs, self_closing, after) = self.scan_attributes(i);
+        let (attrs, self_closing, after) = self.scan_attributes(i, sink);
         let span = Span::new(start, after);
         let last = after.checked_sub(1).and_then(|k| self.byte(k));
         if after == self.bytes.len() && last != Some(b'>') {
-            self.warn(WarningKind::UnterminatedTag, span);
+            sink.warning(WarningKind::UnterminatedTag, span);
         }
-        if !self_closing && !self.xml && is_raw_text_element(self.out.symbols.resolve(name)) {
+        if !self_closing && !self.xml && is_raw_text_element(self.symbols.resolve(name)) {
             self.raw_text = Some(name);
         }
-        self.out.tokens.push(Token::Start(StartTag {
+        sink.token(Token::Start(StartTag {
             name,
             attrs,
             self_closing,
@@ -394,17 +420,21 @@ impl<'a> Tokenizer<'a> {
     fn tag_name(&mut self, start: usize, end: usize) -> Sym {
         let raw = self.slice(start, end);
         if self.xml || !raw.bytes().any(|b| b.is_ascii_uppercase()) {
-            return self.out.symbols.intern(raw);
+            return self.symbols.intern(raw);
         }
         self.scratch.clear();
         self.scratch.push_str(raw);
         self.scratch.make_ascii_lowercase();
-        self.out.symbols.intern(&self.scratch)
+        self.symbols.intern(&self.scratch)
     }
 
     /// Parses the attribute list starting at `i` (just after the tag name).
     /// Returns `(attrs, self_closing, position after '>')`.
-    fn scan_attributes(&mut self, mut i: usize) -> (Vec<Attribute<'a>>, bool, usize) {
+    fn scan_attributes<S: TokenSink<'a>>(
+        &mut self,
+        mut i: usize,
+        sink: &mut S,
+    ) -> (Vec<Attribute<'a>>, bool, usize) {
         let mut attrs = Vec::new();
         let mut self_closing = false;
         loop {
@@ -424,7 +454,7 @@ impl<'a> Tokenizer<'a> {
                     i += 1;
                 }
                 Some(_) => {
-                    let (attr, next) = self.scan_one_attribute(i);
+                    let (attr, next) = self.scan_one_attribute(i, sink);
                     if let Some(a) = attr {
                         attrs.push(a);
                     }
@@ -437,7 +467,11 @@ impl<'a> Tokenizer<'a> {
 
     /// Parses a single `name`, `name=value`, `name="value"` or `name='value'`
     /// attribute starting at non-whitespace position `i`.
-    fn scan_one_attribute(&mut self, mut i: usize) -> (Option<Attribute<'a>>, usize) {
+    fn scan_one_attribute<S: TokenSink<'a>>(
+        &mut self,
+        mut i: usize,
+        sink: &mut S,
+    ) -> (Option<Attribute<'a>>, usize) {
         let name_start = i;
         while self
             .byte(i)
@@ -481,7 +515,7 @@ impl<'a> Tokenizer<'a> {
                         )
                     }
                     None => {
-                        self.warn(
+                        sink.warning(
                             WarningKind::UnterminatedAttributeValue,
                             Span::new(val_start, self.bytes.len()),
                         );
@@ -518,14 +552,16 @@ impl<'a> Tokenizer<'a> {
         }
     }
 
-    /// Inside `<script>`/`<style>`/…: everything until the matching end tag
-    /// is one text token; no entity decoding (raw text).
+    /// Inside `<script>`/`<style>`/…: everything until the end tag of the
+    /// element named `sym` is one text token; no entity decoding (raw
+    /// text).
     ///
-    /// The closing-tag probe compares exactly `name.len()` bytes
+    /// The closing-tag probe compares exactly the name's length in bytes
     /// case-insensitively — the old implementation lower-cased the entire
     /// remaining document on every `<` inside the raw text, which was
     /// quadratic on script-heavy pages.
-    fn scan_raw_text(&mut self, name: &str) {
+    fn scan_raw_text<S: TokenSink<'a>>(&mut self, sym: Sym, sink: &mut S) {
+        let name = self.symbols.resolve(sym);
         let start = self.pos;
         let mut i = start;
         let closing_at = loop {
@@ -546,7 +582,7 @@ impl<'a> Tokenizer<'a> {
         match closing_at {
             Some(lt) => {
                 if lt > start {
-                    self.out.tokens.push(Token::Text(Text {
+                    sink.token(Token::Text(Text {
                         raw: self.slice(start, lt),
                         decode: false,
                         span: Span::new(start, lt),
@@ -557,9 +593,9 @@ impl<'a> Tokenizer<'a> {
             }
             None => {
                 let span = Span::new(start, self.bytes.len());
-                self.warn(WarningKind::UnterminatedRawText, span);
+                sink.warning(WarningKind::UnterminatedRawText, span);
                 if !span.is_empty() {
-                    self.out.tokens.push(Token::Text(Text {
+                    sink.token(Token::Text(Text {
                         raw: self.slice_from(start),
                         decode: false,
                         span,

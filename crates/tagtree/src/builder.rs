@@ -1,9 +1,11 @@
-//! Tag-tree builder: the public entry point combining Appendix A's
-//! normalization (steps 1–2) with tree construction (step 3).
+//! Tag-tree builder: the public entry point for Appendix A — the
+//! tokenizer hands its tokens straight to the streaming builder
+//! ([`crate::stream`]), which normalizes (steps 1–2) and builds the tree
+//! (step 3) as they arrive.
 
-use crate::event::{normalize_tokens, NormalizeStats};
-use crate::tree::{tree_from_events_budgeted, TagTree, TreeBudget, TreeError};
-use rbd_html::{tokenize, tokenize_xml, TokenBudget, TokenStream};
+use crate::stream::{NormalizeStats, TreeSink};
+use crate::tree::{TagTree, TreeBudget, TreeError};
+use rbd_html::{TokenBudget, TokenStream, Tokenizer};
 use rbd_trace::{NullSink, Span, TraceEvent, TraceSink};
 
 /// Builds [`TagTree`]s from raw HTML.
@@ -49,19 +51,19 @@ impl TagTreeBuilder {
     }
 
     /// Fallible build under the configured budget, reporting to `sink`:
-    /// the tokenizer pass is timed as a `"tokenize"` span, tree
-    /// construction as a `"tree_build"` span, and — when the sink is
-    /// enabled — `Tokenized` and [`TreeBuilt`](TraceEvent::TreeBuilt)
-    /// events record the token stream's shape, the node count, and what
-    /// normalization repaired. Also returns those repairs.
+    /// the one streaming pass of tokenizer and builder is timed as a
+    /// `"tokenize"` span, the final link pass as a `"tree_build"` span,
+    /// and — when the sink is enabled — `Tokenized` and
+    /// [`TreeBuilt`](TraceEvent::TreeBuilt) events record the token
+    /// stream's shape, the node count, and what normalization repaired.
+    /// Also returns those repairs.
     ///
     /// # Errors
     /// [`TreeError::Limit`] when a cap of the budget set via
     /// [`TagTreeBuilder::with_budget`] trips (an over-cap input is rejected
     /// before anything is scanned or traced). With the default (unbounded)
     /// budget the only reachable error is [`TreeError::TooManyNodes`] on
-    /// documents with more than `u32::MAX` start-tags — normalization
-    /// guarantees a balanced event stream.
+    /// documents with more than `u32::MAX` start-tags.
     pub fn try_build(
         &self,
         source: &str,
@@ -72,26 +74,27 @@ impl TagTreeBuilder {
         }
         .check(source)?;
         let span = Span::start_if("tokenize", sink);
-        let tokens = if self.xml {
-            tokenize_xml(source)
+        let mut tree = TreeSink::new(self.budget, source.len());
+        let tokenizer = if self.xml {
+            Tokenizer::new_xml(source)
         } else {
-            tokenize(source)
+            Tokenizer::new(source)
         };
+        let symbols = tokenizer.feed(&mut tree);
         if let Some(span) = span {
             span.finish(sink);
         }
         if sink.enabled() {
-            let tags = tokens.tags().count();
-            sink.add("extract_tags_scanned", tags as u64);
+            sink.add("extract_tags_scanned", tree.tags as u64);
             sink.event(TraceEvent::Tokenized {
                 bytes: source.len(),
-                tokens: tokens.tokens.len(),
-                tags,
-                warnings: tokens.warnings.len(),
+                tokens: tree.tokens,
+                tags: tree.tags,
+                warnings: tree.warnings,
             });
         }
         let span = Span::start_if("tree_build", sink);
-        let built = self.try_build_from_tokens(source.len(), &tokens);
+        let built = tree.finish(symbols);
         if let Some(span) = span {
             span.finish(sink);
         }
@@ -107,20 +110,24 @@ impl TagTreeBuilder {
         built
     }
 
-    /// Builds from an existing token stream (lets callers reuse tokens for
-    /// other purposes, e.g. the recognizer). Uninstrumented, and the input
-    /// byte cap is the caller's to check: only the tree caps apply here.
+    /// Builds from an existing token stream by replaying it into the same
+    /// streaming builder [`TagTreeBuilder::try_build`] feeds live (lets
+    /// callers time tokenizing and building apart). Uninstrumented, and
+    /// the input byte cap is the caller's to check: only the tree caps
+    /// apply here.
+    ///
+    /// # Errors
+    /// As [`TagTreeBuilder::try_build`], less the input byte cap.
     pub fn try_build_from_tokens(
         &self,
         source_len: usize,
         tokens: &TokenStream,
     ) -> Result<(TagTree, NormalizeStats), TreeError> {
-        let (events, stats) = normalize_tokens(tokens);
-        debug_assert!(crate::event::is_balanced(&events));
-        Ok((
-            tree_from_events_budgeted(&events, source_len, &self.budget, &tokens.symbols)?,
-            stats,
-        ))
+        let mut tree = TreeSink::new(self.budget, source_len);
+        for token in &tokens.tokens {
+            tree.accept(token);
+        }
+        tree.finish(tokens.symbols.clone())
     }
 }
 
@@ -159,6 +166,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::tree::tests::descendants;
     use crate::tree::{NodeId, TagTree};
     use rbd_prop::{check, gen, prop_assert, prop_assert_eq, Gen};
 
@@ -264,7 +272,7 @@ mod proptests {
             let mut last_start = 0;
             for id in tree.ids() {
                 prop_assert_eq!(tree.subtree_text(id), text_by_nodes(&tree, id));
-                let below = tree.descendants(id);
+                let below = descendants(&tree, id);
                 let range: Vec<NodeId> = tree
                     .ids()
                     .skip(id.index())

@@ -3,14 +3,15 @@
 //! Implements Section 3 and Appendix A of *Record-Boundary Discovery in Web
 //! Documents* (Embley, Jiang & Ng, SIGMOD 1999):
 //!
-//! 1. **Normalization** ([`event`]): scan the token stream, discard "useless"
-//!    tags (comments / `<!…>` markup and end-tags with no corresponding
-//!    start-tag) and insert every *missing end-tag*. A start-tag without an
-//!    end-tag gets a synthetic end-tag at the paper's position `L` — the
-//!    location of the next tag after the start-tag — so its region covers
-//!    only the start-tag and the plain text that immediately follows it.
-//! 2. **Tree construction** ([`builder`]): an in-order scan of the normalized
-//!    event stream builds the tag tree. Each node is the paper's
+//! 1. **Normalization** ([`stream`]): discard "useless" tags (comments /
+//!    `<!…>` markup and end-tags with no corresponding start-tag) and
+//!    insert every *missing end-tag*. A start-tag without an end-tag gets a
+//!    synthetic end-tag at the paper's position `L` — the location of the
+//!    next tag after the start-tag — so its region covers only the
+//!    start-tag and the plain text that immediately follows it.
+//! 2. **Tree construction** ([`stream`], driven by [`builder`]): the same
+//!    pass builds the tag tree while the tokenizer's tokens arrive, with
+//!    no token or event list in between. Each node is the paper's
 //!    `[G, I, O]` triple: start-tag `G`, inner text `I` (between `G` and the
 //!    next tag) and trailing text `O` (between `G`'s end-tag and the next
 //!    tag).
@@ -51,9 +52,9 @@
 #![warn(missing_docs)]
 
 pub mod builder;
-pub mod event;
+pub mod stream;
 pub mod tree;
 
 pub use builder::TagTreeBuilder;
-pub use event::{normalize, Event, NormalizeStats};
+pub use stream::NormalizeStats;
 pub use tree::{CandidateTag, Node, NodeId, TagTree, TreeBudget, TreeError};

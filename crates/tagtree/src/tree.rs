@@ -13,9 +13,8 @@
 //! sibling subtrees — which is how records are chunked and the heuristic
 //! view is built without copying text.
 
-use crate::event::Event;
 use rbd_html::{Span, Sym, SymbolTable};
-use rbd_limits::{LimitExceeded, LimitKind};
+use rbd_limits::LimitExceeded;
 use std::fmt;
 
 /// Index of a node in a [`TagTree`]'s arena.
@@ -38,22 +37,14 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Error from tag-tree construction over an event stream.
-///
-/// [`normalize`](crate::event::normalize) always yields balanced streams, so
-/// the high-level [`TagTreeBuilder`](crate::TagTreeBuilder) API never
-/// surfaces these; they exist so construction is total even over
-/// hand-assembled event lists.
+/// Error from tag-tree construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TreeError {
-    /// An `End` event arrived with no matching open `Start` (the stream was
-    /// not balanced).
-    Unbalanced,
-    /// The stream would produce more than `u32::MAX` nodes, overflowing the
-    /// arena's `NodeId` space.
+    /// The document would produce more than `u32::MAX` nodes, overflowing
+    /// the arena's `NodeId` space.
     TooManyNodes,
     /// A configured [`TreeBudget`] cap was exceeded (input bytes, arena
-    /// nodes, or nesting depth). Unlike the two errors above this one is
+    /// nodes, or nesting depth). Unlike the error above this one is
     /// *routinely* reachable — it is how a governed build refuses a tag
     /// bomb instead of allocating it.
     Limit(LimitExceeded),
@@ -62,9 +53,8 @@ pub enum TreeError {
 impl fmt::Display for TreeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TreeError::Unbalanced => write!(f, "event stream is not balanced"),
             TreeError::TooManyNodes => {
-                write!(f, "event stream exceeds the arena's u32 node capacity")
+                write!(f, "document exceeds the arena's u32 node capacity")
             }
             TreeError::Limit(e) => write!(f, "tree construction over budget: {e}"),
         }
@@ -280,21 +270,6 @@ impl TagTree {
         (0..self.nodes.len() as u32).map(NodeId)
     }
 
-    /// Node ids of the subtree rooted at `id`, in document order,
-    /// including `id` itself.
-    pub fn descendants(&self, id: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            out.push(n);
-            // Push children reversed so they pop in document order.
-            for &c in self.node(n).children.iter().rev() {
-                stack.push(c);
-            }
-        }
-        out
-    }
-
     /// The node with the highest fan-out (most immediate children); ties go
     /// to the earliest node in document order. This is the paper's
     /// conjecture for where the records live.
@@ -437,10 +412,10 @@ impl TagTree {
 
 /// Name of the synthetic root. `#` is not a tag-name byte, so no document
 /// tag can ever collide with it in the symbol table.
-const ROOT_NAME: &str = "#root";
+pub(crate) const ROOT_NAME: &str = "#root";
 
 /// The synthetic root every tree starts from.
-fn root_node(name: Sym, source_len: usize) -> Node {
+pub(crate) fn root_node(name: Sym, source_len: usize) -> Node {
     Node {
         name,
         inner: Span::new(0, 0),
@@ -452,139 +427,30 @@ fn root_node(name: Sym, source_len: usize) -> Node {
     }
 }
 
-/// Extends a text-arena span over a freshly appended `[start, end)` chunk.
-///
-/// Appends for one (node, inner/trailing) slot are always contiguous: the
-/// slot is opened, empty, at the arena's end by its Start/End event, and
-/// the attach target changes only at Start/End events and never returns to
-/// an earlier slot (each Start and End occurs once in a balanced stream),
-/// so the span's `end` always equals the chunk's `start`.
-fn extend_text_span(span: &mut Span, start: usize, end: usize) {
-    debug_assert_eq!(span.end, start, "non-contiguous arena append");
-    span.end = end;
-}
-
-/// Rebuilds a [`TagTree`] from normalized events, resolving names against
-/// `symbols` (the table of the token stream the events came from; the tree
-/// keeps its own clone, extended with the synthetic root's name).
-///
-/// Total: an unbalanced stream yields [`TreeError::Unbalanced`] instead of
-/// panicking, and node counts past `u32::MAX` yield
-/// [`TreeError::TooManyNodes`]. Budget caps (nodes, depth) are checked
-/// *before* the allocation or push that would exceed them, so a tag bomb is
-/// refused at its cap, not after materializing; an unbounded budget
-/// reproduces the historical unbudgeted behavior exactly.
-pub(crate) fn tree_from_events_budgeted(
-    events: &[Event<'_>],
-    source_len: usize,
-    budget: &TreeBudget,
-    symbols: &SymbolTable,
-) -> Result<TagTree, TreeError> {
-    let mut symbols = symbols.clone();
-    let root_sym = symbols.intern(ROOT_NAME);
-    let mut nodes = vec![root_node(root_sym, source_len)];
-    let mut arena = String::new();
-    let mut stack: Vec<NodeId> = vec![NodeId::ROOT];
-    // The node the last event "belongs" to for text attachment: Start(x)
-    // directs following text into x's inner span, End(x) into x's trailing.
-    enum Attach {
-        Inner(NodeId),
-        Trailing(NodeId),
-    }
-    let mut attach = Attach::Inner(NodeId::ROOT);
-
-    for ev in events {
-        match ev {
-            Event::Start { name, src } => {
-                let Some(&parent) = stack.last() else {
-                    return Err(TreeError::Unbalanced);
-                };
-                if let Some(cap) = budget.max_nodes {
-                    if nodes.len() >= cap {
-                        return Err(TreeError::Limit(LimitExceeded {
-                            limit: LimitKind::TreeNodes,
-                            cap,
-                            observed: nodes.len() + 1,
-                        }));
-                    }
-                }
-                if let Some(cap) = budget.max_depth {
-                    // The new node would sit at depth == stack.len() (root
-                    // is depth 0 with stack.len() == 1 before the push).
-                    if stack.len() > cap {
-                        return Err(TreeError::Limit(LimitExceeded {
-                            limit: LimitKind::NestingDepth,
-                            cap,
-                            observed: stack.len(),
-                        }));
-                    }
-                }
-                let raw = u32::try_from(nodes.len()).map_err(|_| TreeError::TooManyNodes)?;
-                let id = NodeId(raw);
-                let here = Span::new(arena.len(), arena.len());
-                nodes.push(Node {
-                    name: *name,
-                    inner: here,
-                    // Positioned for real at the node's End event.
-                    trailing: here,
-                    children: Vec::new(),
-                    parent: Some(parent),
-                    region: Span::new(src.start, src.end),
-                    start_tag: *src,
-                });
-                match nodes.get_mut(parent.index()) {
-                    Some(p) => p.children.push(id),
-                    None => return Err(TreeError::Unbalanced),
-                }
-                stack.push(id);
-                attach = Attach::Inner(id);
-            }
-            Event::End { src, .. } => {
-                let Some(id) = stack.pop() else {
-                    return Err(TreeError::Unbalanced);
-                };
-                if id == NodeId::ROOT {
-                    // The root has no end-tag; popping it means the stream
-                    // held an `End` with no matching `Start`.
-                    return Err(TreeError::Unbalanced);
-                }
-                match nodes.get_mut(id.index()) {
-                    Some(n) => {
-                        n.region = Span::new(n.region.start, src.end);
-                        n.trailing = Span::new(arena.len(), arena.len());
-                    }
-                    None => return Err(TreeError::Unbalanced),
-                }
-                attach = Attach::Trailing(id);
-            }
-            Event::Text { .. } => {
-                let Some(text) = ev.text() else {
-                    continue;
-                };
-                let start = arena.len();
-                arena.push_str(&text);
-                let end = arena.len();
-                let (id, inner) = match attach {
-                    Attach::Inner(id) => (id, true),
-                    Attach::Trailing(id) => (id, false),
-                };
-                match nodes.get_mut(id.index()) {
-                    Some(n) if inner => extend_text_span(&mut n.inner, start, end),
-                    Some(n) => extend_text_span(&mut n.trailing, start, end),
-                    None => return Err(TreeError::Unbalanced),
-                }
-            }
-        }
-    }
-    Ok(TagTree::new(nodes, arena, symbols, source_len))
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use super::{NodeId, TagTree};
     use crate::builder::TagTreeBuilder;
 
-    fn build(src: &str) -> super::TagTree {
+    fn build(src: &str) -> TagTree {
         TagTreeBuilder::default().build(src)
+    }
+
+    /// Node ids of the subtree rooted at `id`, in document order,
+    /// including `id` itself, found by walking the children lists: the
+    /// oracle for the arena-run reads (`subtree_tag_count`,
+    /// `descendant_tags`).
+    pub(crate) fn descendants(tree: &TagTree, id: NodeId) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        let mut stack = vec![id];
+        while let Some(n) = stack.pop() {
+            out.push(n);
+            // Push children reversed so they pop in document order.
+            for &c in tree.node(n).children.iter().rev() {
+                stack.push(c);
+            }
+        }
+        out
     }
 
     #[test]
@@ -728,7 +594,7 @@ mod tests {
         for id in tree.ids() {
             assert_eq!(
                 tree.subtree_tag_count(id),
-                tree.descendants(id).len() - 1,
+                descendants(&tree, id).len() - 1,
                 "mismatch at {id}"
             );
         }
@@ -898,8 +764,7 @@ mod tests {
     fn descendants_in_document_order() {
         let tree = build("<a><b><c></c></b><d></d></a>");
         let a = tree.node(tree.root()).children[0];
-        let names: Vec<_> = tree
-            .descendants(a)
+        let names: Vec<_> = descendants(&tree, a)
             .into_iter()
             .map(|i| tree.name(i).to_owned())
             .collect();

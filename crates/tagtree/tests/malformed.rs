@@ -1,27 +1,31 @@
 //! Regression property tests: arbitrarily malformed HTML must never panic
-//! anywhere in the tokenize → normalize → tree-build pipeline, and the
-//! resulting tree must be well-formed (parent/child links agree, regions
-//! nest, node count matches the start-tag count).
+//! anywhere in the streaming tokenize → tree-build pass, and the resulting
+//! tree must be well-formed (parent/child links agree, regions nest, node
+//! count matches the start-tag count) and equal the two-pass oracle's.
 //!
 //! These complement the builder's inline property tests with generators
 //! biased toward the specific malformations the panic-freedom audit
 //! targets: orphan end-tags, unterminated comments, truncated entities,
 //! and misclosed tag nesting.
 
+mod oracle;
+
 use rbd_prop::{check, gen, Gen};
-use rbd_tagtree::{event, normalize, TagTreeBuilder};
+use rbd_tagtree::{TagTreeBuilder, TreeBudget};
 use rbd_trace::NullSink;
 
 /// Checks every structural invariant the tree promises, panicking (and thus
 /// failing the property — the runner catches and minimizes panics) if any
 /// is violated.
 fn assert_well_formed(src: &str) {
-    let (events, _, _) = normalize(src);
-    assert!(event::is_balanced(&events), "unbalanced events for {src:?}");
-
     let (tree, stats) = TagTreeBuilder::new()
         .try_build(src, &NullSink)
-        .expect("normalized streams always build");
+        .expect("unbudgeted builds always succeed");
+    assert_eq!(
+        Ok((oracle::flatten(&tree), stats)),
+        oracle::build(src, false, &TreeBudget::unbounded()),
+        "streaming build differs from the oracle for {src:?}"
+    );
     assert_eq!(
         tree.len(),
         stats.start_tags + 1,

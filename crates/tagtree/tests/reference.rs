@@ -1,16 +1,19 @@
-//! Equivalence testing of the normalization pass against an independent,
+//! Equivalence testing of the tag-tree builder against an independent,
 //! deliberately naive reference implementation of Appendix A.
 //!
-//! The production pass (`rbd_tagtree::event::normalize`) uses O(1) anchor
-//! bookkeeping and a single splice; the reference below re-scans and
-//! `Vec::insert`s at every recovery pop (quadratic, but indisputably the
-//! algorithm as written). Property tests check that both produce the same
-//! balanced event sequence on arbitrary tag soup.
+//! The shipped builder normalizes and builds in one streaming pass with
+//! O(1) bookkeeping per tag; the reference below materializes the
+//! normalized document, re-scanning and `Vec::insert`ing at every recovery
+//! pop (quadratic, but indisputably the algorithm as written), then
+//! replays it into a tree. Property tests check that both build the same
+//! tree — names, links, inner and trailing text — on arbitrary tag soup.
 
+mod oracle;
+
+use oracle::arb_soup;
 use rbd_html::{tokenize, Token};
-use rbd_prop::{check_cases, gen, prop_assert, prop_assert_eq, Gen};
-use rbd_tagtree::event::{is_balanced, normalize, Event};
-use rbd_tagtree::TagTreeBuilder;
+use rbd_prop::{check_cases, prop_assert, prop_assert_eq};
+use rbd_tagtree::{NodeId, TagTree, TagTreeBuilder};
 use std::time::{Duration, Instant};
 
 /// Reference event: name + start/end/text discriminator, no spans.
@@ -88,22 +91,85 @@ fn normalize_reference(source: &str) -> Vec<RefEvent> {
     events
 }
 
-fn production(source: &str) -> Vec<RefEvent> {
-    let (events, _, symbols) = normalize(source);
-    assert!(is_balanced(&events), "production output must balance");
-    events
-        .into_iter()
-        .map(|ev| match ev {
-            Event::Start { name, .. } => RefEvent::Start(symbols.resolve(name).to_owned()),
-            Event::End { name, .. } => RefEvent::End(symbols.resolve(name).to_owned()),
-            Event::Text { .. } => RefEvent::Text(ev.text().unwrap_or_default().into_owned()),
+/// A node as the reference events determine it: name, links and text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct RefNode {
+    name: String,
+    parent: Option<usize>,
+    children: Vec<usize>,
+    inner: String,
+    trailing: String,
+}
+
+/// Appendix A step 3 over the reference events: each `Start` opens a
+/// child of the innermost open node, text after a `Start` is its inner
+/// text and text after an `End` its trailing text.
+fn replay(events: &[RefEvent]) -> Vec<RefNode> {
+    let mut nodes = vec![RefNode {
+        name: "#root".to_owned(),
+        parent: None,
+        children: Vec::new(),
+        inner: String::new(),
+        trailing: String::new(),
+    }];
+    let mut stack = vec![0];
+    let mut attach = (0, true);
+    for ev in events {
+        match ev {
+            RefEvent::Start(name) => {
+                let parent = *stack.last().expect("the root stays open");
+                let id = nodes.len();
+                nodes.push(RefNode {
+                    name: name.clone(),
+                    parent: Some(parent),
+                    children: Vec::new(),
+                    inner: String::new(),
+                    trailing: String::new(),
+                });
+                nodes[parent].children.push(id);
+                stack.push(id);
+                attach = (id, true);
+            }
+            RefEvent::End(_) => {
+                let id = stack.pop().expect("balanced");
+                attach = (id, false);
+            }
+            RefEvent::Text(text) => {
+                let node = &mut nodes[attach.0];
+                if attach.1 {
+                    node.inner.push_str(text);
+                } else {
+                    node.trailing.push_str(text);
+                }
+            }
+        }
+    }
+    nodes
+}
+
+/// The shipped tree, read as [`RefNode`]s.
+fn nodes_of(tree: &TagTree) -> Vec<RefNode> {
+    tree.ids()
+        .map(|id| {
+            let node = tree.node(id);
+            RefNode {
+                name: tree.name(id).to_owned(),
+                parent: node.parent.map(NodeId::index),
+                children: node.children.iter().map(|c| c.index()).collect(),
+                inner: tree.inner_text(id).to_owned(),
+                trailing: tree.trailing_text(id).to_owned(),
+            }
         })
         .collect()
 }
 
+fn production(source: &str) -> Vec<RefNode> {
+    nodes_of(&TagTreeBuilder::default().build(source))
+}
+
 fn assert_equivalent(source: &str) {
     let got = production(source);
-    let expected = normalize_reference(source);
+    let expected = replay(&normalize_reference(source));
     assert_eq!(got, expected, "source: {source:?}");
 }
 
@@ -168,31 +234,13 @@ fn orphan_storm_builds_in_linear_time() {
     );
 }
 
-fn arb_soup() -> Gen<String> {
-    let tag = || Gen::select(vec!["b", "i", "hr", "br", "td", "tr", "p", "div", "li"]);
-    // Bursts that deepen the stack with tags that never close, and bursts
-    // of end tags that are mostly orphans against it.
-    let burst =
-        |pieces: Vec<&'static str>| Gen::vec(Gen::select(pieces), 5..=40).map(|v| v.concat());
-    let piece = Gen::one_of(vec![
-        tag().map(|t| format!("<{t}>")),
-        tag().map(|t| format!("</{t}>")),
-        gen::string_from("abcdefghijklmnopqrstuvwxyz ", 0..=10),
-        Gen::just("<br/>".to_owned()),
-        Gen::just("<!-- c -->".to_owned()),
-        burst(vec!["<br>x", "<hr>", "<b>", "<p>y"]),
-        burst(vec!["</u>", "</em>", "</i>", "</b>", "</font>"]),
-    ]);
-    gen::concat(piece, 0..=60)
-}
-
-/// The O(n) production normalizer and the literal quadratic reference
-/// agree on arbitrary tag soup.
+/// The O(n) streaming builder and the literal quadratic reference build
+/// the same tree on arbitrary tag soup.
 #[test]
 fn equivalent_on_random_soup() {
     check_cases("equivalent_on_random_soup", 512, &arb_soup(), |src| {
         let got = production(src);
-        let expected = normalize_reference(src);
+        let expected = replay(&normalize_reference(src));
         prop_assert_eq!(got, expected, "source: {src:?}");
         Ok(())
     });
