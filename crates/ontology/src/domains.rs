@@ -6,254 +6,43 @@
 //! data frames recognize the constants and keywords that the corresponding
 //! `rbd-corpus` generator emits — mirroring the paper's assumption of
 //! data-rich documents.
+//!
+//! The definitions live in the shipped `ontologies/<name>.ont` files, in
+//! the [`crate::dsl`] format, and are compiled in: `--ontology <name>` and
+//! `--ontology-file ontologies/<name>.ont` load the same text.
 
-use crate::lexicon::{self, alternation};
-use crate::model::{Cardinality, ObjectSet, Ontology, ValueType};
+use crate::dsl::parse_ontology;
+use crate::model::Ontology;
 
-/// Regex for a long-form date: "September 30, 1998".
-fn date_pattern() -> String {
-    format!(r"{} [0-9]{{1,2}}, [0-9]{{4}}", alternation(lexicon::MONTHS))
+/// Parses one built-in `.ont` file embedded at compile time.
+fn builtin(name: &str, source: &str) -> Ontology {
+    // rbd-lint: allow(panic) — the source is fixed at build time and `all_domains_validate_and_compile` parses every built-in
+    parse_ontology(source).expect(name)
 }
-
-/// Regex for a clock time: "11:00 a.m.".
-const TIME_PATTERN: &str = r"[0-9]{1,2}:[0-9]{2} ?(a\.m\.|p\.m\.|am|pm)";
-
-/// Regex for U.S. phone numbers: "(801) 555-1234" / "801-555-1234".
-const PHONE_PATTERN: &str = r"\(?[0-9]{3}\)?[- ][0-9]{3}-[0-9]{4}";
-
-/// Regex for dollar amounts: "$12,500".
-const MONEY_PATTERN: &str = r"\$[0-9][0-9,]*";
 
 /// The obituary ontology (entity: `Deceased`).
 pub fn obituaries() -> Ontology {
-    Ontology::new("obituary", "Deceased")
-        .with(
-            // Value-identified only: "our beloved …" style keywords appear
-            // in some obituaries but not reliably once per record, so the
-            // name is recognized by its proper-name shape. Because that
-            // shape is shared with Mortuary/Interment names, §4.5's
-            // shared-type rule keeps the name out of OM's record count —
-            // exactly the paper's reasoning for dates.
-            ObjectSet::new("DeceasedName", Cardinality::OneToOne)
-                .value(r"[A-Z][a-z]+ ([A-Z]\.|[A-Z][a-z]+) [A-Z][a-z]+")
-                .value_type(ValueType::ProperName),
-        )
-        .with(
-            ObjectSet::new("DeathDate", Cardinality::OneToOne)
-                .keyword(r"died on|passed away on|passed away")
-                .value(date_pattern())
-                .value_type(ValueType::Date),
-        )
-        .with(
-            ObjectSet::new("BirthDate", Cardinality::Functional)
-                .keyword(r"was born on|born on|born in")
-                .value(date_pattern())
-                .value_type(ValueType::Date),
-        )
-        .with(
-            ObjectSet::new("Age", Cardinality::Functional)
-                .keyword(r"age [0-9]{1,3}")
-                .value_type(ValueType::Number),
-        )
-        .with(
-            ObjectSet::new("FuneralDate", Cardinality::Functional)
-                .keyword(r"funeral (services )?will be held|services will be held")
-                .value(date_pattern())
-                .value_type(ValueType::Date),
-        )
-        .with(
-            ObjectSet::new("FuneralTime", Cardinality::Functional)
-                .value(TIME_PATTERN)
-                .value_type(ValueType::Time),
-        )
-        .with(
-            ObjectSet::new("Mortuary", Cardinality::Functional)
-                .value(alternation(lexicon::MORTUARIES))
-                .value_type(ValueType::ProperName),
-        )
-        .with(
-            ObjectSet::new("Interment", Cardinality::Functional)
-                .keyword(r"interment")
-                .value(alternation(lexicon::CEMETERIES))
-                .value_type(ValueType::ProperName),
-        )
-        .with(ObjectSet::new("Viewing", Cardinality::Many).keyword(r"viewing|visitation"))
-        .with(
-            ObjectSet::new("Relative", Cardinality::Many)
-                .keyword(r"survived by|preceded in death by"),
-        )
+    builtin("obituary", include_str!("../../../ontologies/obituary.ont"))
 }
 
 /// The car-advertisement ontology (entity: `CarForSale`).
 pub fn car_ads() -> Ontology {
-    Ontology::new("car-ad", "CarForSale")
-        .with(
-            ObjectSet::new("Year", Cardinality::OneToOne)
-                .value(r"\b19[0-9]{2}\b")
-                .value_type(ValueType::Year),
-        )
-        .with(
-            ObjectSet::new("Make", Cardinality::OneToOne)
-                .value(alternation(lexicon::CAR_MAKES))
-                .value_type(ValueType::ProperName),
-        )
-        .with(
-            ObjectSet::new("Model", Cardinality::Functional)
-                .value(alternation(lexicon::CAR_MODELS))
-                .value_type(ValueType::ProperName),
-        )
-        .with(
-            ObjectSet::new("Price", Cardinality::Functional)
-                .keyword(r"asking|obo|or best offer")
-                .value(MONEY_PATTERN)
-                .value_type(ValueType::Money),
-        )
-        .with(
-            ObjectSet::new("Mileage", Cardinality::Functional)
-                .keyword(r"[0-9][0-9,]*k? (miles|mi\.)")
-                .value_type(ValueType::Number),
-        )
-        .with(
-            ObjectSet::new("Phone", Cardinality::Functional)
-                .keyword(r"call")
-                .value(PHONE_PATTERN)
-                .value_type(ValueType::Phone),
-        )
-        .with(
-            // Word-bounded: color words are short and embed in ordinary
-            // prose ("hundREDs"), unlike multi-word proper names.
-            ObjectSet::new("Color", Cardinality::Functional)
-                .value(format!(r"\b{}\b", alternation(lexicon::COLORS)))
-                .value_type(ValueType::Text),
-        )
-        .with(
-            ObjectSet::new("Feature", Cardinality::Many).value(alternation(lexicon::CAR_FEATURES)),
-        )
+    builtin("car-ad", include_str!("../../../ontologies/car-ad.ont"))
 }
 
 /// The computer-job-advertisement ontology (entity: `JobOpening`).
 pub fn job_ads() -> Ontology {
-    Ontology::new("job-ad", "JobOpening")
-        .with(
-            ObjectSet::new("JobTitle", Cardinality::OneToOne)
-                .value(alternation(lexicon::JOB_TITLES))
-                .value_type(ValueType::ProperName),
-        )
-        .with(
-            ObjectSet::new("Company", Cardinality::Functional)
-                .value(alternation(lexicon::COMPANIES))
-                .value_type(ValueType::ProperName),
-        )
-        .with(
-            ObjectSet::new("Salary", Cardinality::Functional)
-                .keyword(r"salary|DOE|per year|/yr")
-                .value(MONEY_PATTERN)
-                .value_type(ValueType::Money),
-        )
-        .with(
-            ObjectSet::new("Location", Cardinality::Functional)
-                .value(alternation(lexicon::CITIES))
-                .value_type(ValueType::ProperName),
-        )
-        .with(
-            ObjectSet::new("Experience", Cardinality::Functional)
-                .keyword(r"[0-9]\+? years('?) experience|yrs\.? exp"),
-        )
-        .with(
-            ObjectSet::new("ContactPhone", Cardinality::Functional)
-                .keyword(r"fax|call")
-                .value(PHONE_PATTERN)
-                .value_type(ValueType::Phone),
-        )
-        .with(
-            ObjectSet::new("ContactEmail", Cardinality::Functional)
-                .value(r"[a-z][a-z0-9._]*@[a-z][a-z0-9.]*\.(com|net|org|edu)")
-                .value_type(ValueType::Email),
-        )
-        .with(ObjectSet::new("Skill", Cardinality::Many).value(alternation(lexicon::SKILLS)))
-        .with(
-            ObjectSet::new("ApplyBy", Cardinality::Functional)
-                .keyword(r"apply by|send resume|resumes to")
-                .value_type(ValueType::Date),
-        )
+    builtin("job-ad", include_str!("../../../ontologies/job-ad.ont"))
 }
 
 /// The university-course-description ontology (entity: `Course`).
 pub fn courses() -> Ontology {
-    Ontology::new("course", "Course")
-        .with(
-            ObjectSet::new("CourseNumber", Cardinality::OneToOne)
-                .value(format!(
-                    r"{} [0-9]{{3}}[A-Z]?",
-                    alternation(lexicon::DEPT_CODES)
-                ))
-                .value_type(ValueType::Text),
-        )
-        .with(
-            ObjectSet::new("CourseTitle", Cardinality::Functional)
-                .value(alternation(lexicon::COURSE_TITLES))
-                .value_type(ValueType::ProperName),
-        )
-        .with(
-            ObjectSet::new("Credits", Cardinality::Functional)
-                .keyword(r"[0-9](\.[0-9])? (credit hours|credits|cr\.)"),
-        )
-        .with(
-            ObjectSet::new("Instructor", Cardinality::Functional)
-                .keyword(r"Instructor:|taught by")
-                .value(r"(Dr|Prof)\. [A-Z][a-z]+")
-                .value_type(ValueType::ProperName),
-        )
-        .with(
-            ObjectSet::new("Schedule", Cardinality::Functional)
-                .value(r"(MWF|TTh|MW|Daily|MTWThF) [0-9]{1,2}:[0-9]{2}")
-                .value_type(ValueType::Time),
-        )
-        .with(ObjectSet::new("Room", Cardinality::Functional).keyword(r"Room [0-9]{1,4}"))
-        .with(ObjectSet::new("Prerequisite", Cardinality::Many).keyword(r"Prerequisites?:"))
-        .with(
-            ObjectSet::new("Enrollment", Cardinality::Functional)
-                .keyword(r"enrollment limited to|limit(ed)? [0-9]+ students"),
-        )
+    builtin("course", include_str!("../../../ontologies/course.ont"))
 }
 
 /// All four domain ontologies, in the paper's order of appearance.
 pub fn all() -> Vec<Ontology> {
     vec![obituaries(), car_ads(), job_ads(), courses()]
-}
-
-/// Renders an ontology back into the [`crate::dsl`] text format.
-pub fn to_dsl(o: &Ontology) -> String {
-    let mut out = format!("ontology {} entity {}\n", o.name, o.entity);
-    for set in &o.object_sets {
-        out.push_str(&format!("\nobject {} {}", set.name, set.cardinality));
-        if let Some(vt) = set.data_frame.value_type {
-            out.push_str(" type ");
-            out.push_str(match vt {
-                ValueType::Date => "date",
-                ValueType::Time => "time",
-                ValueType::Money => "money",
-                ValueType::Phone => "phone",
-                ValueType::Email => "email",
-                ValueType::Year => "year",
-                ValueType::Number => "number",
-                ValueType::ProperName => "proper-name",
-                ValueType::Text => "text",
-            });
-        }
-        if !set.lexical {
-            out.push_str(" non-lexical");
-        }
-        out.push_str(" {\n");
-        for kw in &set.data_frame.keywords {
-            out.push_str(&format!("    keyword \"{kw}\"\n"));
-        }
-        for vp in &set.data_frame.value_patterns {
-            out.push_str(&format!("    value \"{vp}\"\n"));
-        }
-        out.push_str("}\n");
-    }
-    out
 }
 
 #[cfg(test)]
@@ -347,15 +136,6 @@ mod tests {
                 "{}",
                 o.name
             );
-        }
-    }
-
-    #[test]
-    fn to_dsl_renders_all_domains() {
-        for o in all() {
-            let dsl = to_dsl(&o);
-            let back = crate::dsl::parse_ontology(&dsl).expect(&o.name);
-            assert_eq!(back.len(), o.len());
         }
     }
 }

@@ -4,7 +4,9 @@
 //! writes once per domain ("When we change applications … we change the
 //! ontology, and everything else remains the same"). This module gives that
 //! artifact a concrete syntax so new domains can be added without writing
-//! Rust:
+//! Rust. The four built-in domains are themselves the shipped
+//! `ontologies/*.ont` files in this format, compiled into
+//! [`crate::domains`]; `--ontology-file` loads any other file at run time:
 //!
 //! ```text
 //! ontology obituary entity Deceased
@@ -265,21 +267,5 @@ object Relative many {
         let src = "ontology t entity E\nobject X functional non-lexical {\n}\n";
         let o = parse_ontology(src).unwrap();
         assert!(!o.object_set("X").unwrap().lexical);
-    }
-
-    #[test]
-    fn roundtrip_through_builtin_domains() {
-        // The built-in domain ontologies can be rendered to DSL and parsed
-        // back equivalently (smoke check on names/cardinalities).
-        let o = crate::domains::obituaries();
-        let dsl = crate::domains::to_dsl(&o);
-        let back = parse_ontology(&dsl).unwrap();
-        assert_eq!(back.len(), o.len());
-        for (a, b) in o.object_sets.iter().zip(&back.object_sets) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.cardinality, b.cardinality);
-            assert_eq!(a.data_frame.keywords, b.data_frame.keywords);
-            assert_eq!(a.data_frame.value_patterns, b.data_frame.value_patterns);
-        }
     }
 }

@@ -1,9 +1,12 @@
 //! Shared lexicons — the "Lexicons" input of the paper's Figure 1.
 //!
-//! Data frames may reference closed word lists (automobile makes, month
+//! Data frames may recognize closed word lists (automobile makes, month
 //! names, …). The corpus generator (`rbd-corpus`) draws document content
-//! from the *same* lists, which is exactly the situation the paper assumes:
-//! data-rich documents whose constants the ontology can recognize.
+//! from these lists, and the built-in `ontologies/*.ont` files spell the
+//! same words out as alternations — `tests/ontology_files.rs` checks that
+//! each shipped rule matches every word whole — which is exactly the
+//! situation the paper assumes: data-rich documents whose constants the
+//! ontology can recognize.
 
 /// Month names.
 pub const MONTHS: &[&str] = &[
@@ -346,64 +349,9 @@ pub const CEMETERIES: &[&str] = &[
     "Saint Mary Cemetery",
 ];
 
-/// Builds a regex alternation matching any word of `words`, longest first
-/// (so leftmost-longest engines cannot stop at a prefix), with regex
-/// metacharacters escaped.
-pub fn alternation(words: &[&str]) -> String {
-    let mut sorted: Vec<&str> = words.to_vec();
-    sorted.sort_by_key(|w| std::cmp::Reverse(w.len()));
-    let escaped: Vec<String> = sorted.iter().map(|w| escape(w)).collect();
-    format!("({})", escaped.join("|"))
-}
-
-/// Escapes regex metacharacters in a literal word.
-pub fn escape(word: &str) -> String {
-    let mut out = String::with_capacity(word.len());
-    for c in word.chars() {
-        if "\\.+*?()|[]{}^$".contains(c) {
-            out.push('\\');
-        }
-        out.push(c);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbd_pattern::Pattern;
-
-    #[test]
-    fn alternation_matches_all_words() {
-        let p = Pattern::new(&alternation(CAR_MAKES)).unwrap();
-        for make in CAR_MAKES {
-            assert!(p.is_match(make), "should match {make}");
-        }
-        assert!(!p.is_match("Zeppelin"));
-    }
-
-    #[test]
-    fn escape_metacharacters() {
-        assert_eq!(escape("C++"), "C\\+\\+");
-        assert_eq!(escape("TCP/IP"), "TCP/IP");
-        assert_eq!(escape("a.b"), "a\\.b");
-    }
-
-    #[test]
-    fn escaped_skills_compile_and_match() {
-        let p = Pattern::new(&alternation(SKILLS)).unwrap();
-        assert!(p.is_match("knows C++ well"));
-        assert!(p.is_match("Windows NT admin"));
-    }
-
-    #[test]
-    fn longest_first_prevents_prefix_shadowing() {
-        // "Grand Am" must not be matched as a shorter word's prefix.
-        let p = Pattern::new(&alternation(CAR_MODELS)).unwrap();
-        let hay = "1995 Pontiac Grand Am for sale";
-        let m = p.find(hay).unwrap();
-        assert_eq!(m.as_str(hay), "Grand Am");
-    }
 
     #[test]
     fn lexicons_nonempty_and_unique() {

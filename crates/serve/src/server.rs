@@ -39,7 +39,7 @@ use rbd_pipeline::{Pool, PoolConfig, PoolError, TrySubmitError};
 use rbd_store::{extraction_response_json, ContentHash, Store, StoredDoc};
 use rbd_trace::{
     export, unix_micros, MetricsSink, NullSink, RegistrySnapshot, RollingWindows, ScopedSink,
-    ServerEvent, SlowCapture, SlowLog, SpanId, SpanRecord, TraceEvent, TraceId, TraceSink,
+    ServerEvent, SlowCapture, SpanId, SpanRecord, TraceEvent, TraceId, TraceSink,
 };
 use std::io::{ErrorKind, Read, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -92,8 +92,10 @@ pub struct ServeConfig {
     /// `<dir>/trace-<id>.json` in Chrome trace-event format, and slow
     /// captures append to `<dir>/slow.jsonl`.
     pub trace_dir: Option<PathBuf>,
-    /// Requests at or over this latency get their full span tree and
-    /// audit events kept in the bounded slow log. `None` disables capture.
+    /// Requests at or over this latency count toward the
+    /// `serve_requests_slow` counter and, when `trace_dir` is set, append
+    /// their full span tree and audit events to `<dir>/slow.jsonl`.
+    /// `None` disables the check.
     pub slow_threshold: Option<Duration>,
     /// When set, the persistent record store at this path backs
     /// `POST /extract` as a content-hash cache (DESIGN.md §14): a request
@@ -197,7 +199,8 @@ struct Ctx {
     metrics: Arc<MetricsSink>,
     audit: Arc<dyn TraceSink>,
     windows: RollingWindows,
-    slow: Option<SlowLog>,
+    /// [`ServeConfig::slow_threshold`] in nanoseconds.
+    slow_threshold_ns: Option<u64>,
     trace_dir: Option<PathBuf>,
     started: Instant,
     active: AtomicUsize,
@@ -212,7 +215,7 @@ impl Ctx {
     /// requests run the metrics-only path: no span collection, no clock
     /// reads beyond the one latency measurement every request pays.
     fn collecting(&self) -> bool {
-        self.audit.enabled() || self.trace_dir.is_some() || self.slow.is_some()
+        self.audit.enabled() || self.trace_dir.is_some()
     }
 }
 
@@ -226,9 +229,6 @@ struct Conn {
     accepted_us: u64,
 }
 
-/// How many slow captures the in-memory log retains (oldest evicted).
-const SLOW_LOG_CAP: usize = 256;
-
 /// Per-request trace assembly: the request's [`TraceId`], the synthetic
 /// serve-layer spans (`serve:request` → `serve:queue_wait` /
 /// `serve:worker`), and — while [`Ctx::collecting`] — every span and
@@ -237,7 +237,7 @@ const SLOW_LOG_CAP: usize = 256;
 ///
 /// Spans always flow through to the [`MetricsSink`] so the cumulative
 /// latency histograms see them; local collection is what audit export,
-/// Chrome-trace files, and the slow log read at request end.
+/// Chrome-trace files, and `slow.jsonl` read at request end.
 #[derive(Debug)]
 struct RequestTrace {
     trace: TraceId,
@@ -278,15 +278,21 @@ impl RequestTrace {
     }
 
     /// Closes out the request: records rolling-window and cumulative
-    /// latency, synthesizes the serve-layer spans, and fans the finished
-    /// tree out to the audit sink, the Chrome-trace directory, and the
-    /// slow log.
+    /// latency, counts it if slow, synthesizes the serve-layer spans, and
+    /// fans the finished tree out to the audit sink, the Chrome-trace
+    /// directory, and — for a slow request — `slow.jsonl`.
     fn finish(self, ctx: &Ctx, status: u16) {
         let latency_ns = u64::try_from(self.accepted.elapsed().as_nanos()).unwrap_or(u64::MAX);
         ctx.windows.record(latency_ns, status >= 500);
         ctx.metrics
             .registry()
             .observe("serve_request_latency", latency_ns);
+        let slow = ctx
+            .slow_threshold_ns
+            .is_some_and(|threshold| latency_ns >= threshold);
+        if slow {
+            ctx.metrics.add("serve_requests_slow", 1);
+        }
         if !self.collecting {
             return;
         }
@@ -339,20 +345,15 @@ impl RequestTrace {
             if std::fs::write(path, body).is_err() {
                 ctx.metrics.add("serve_trace_write_errors", 1);
             }
-        }
-        if let Some(slow) = &ctx.slow {
-            let capture = SlowCapture {
-                trace: self.trace,
-                latency_ns,
-                status,
-                spans,
-                events,
-            };
-            if slow.offer(capture.clone()) {
-                ctx.metrics.add("serve_requests_slow", 1);
-                if let Some(dir) = &ctx.trace_dir {
-                    append_slow_line(ctx, &dir.join("slow.jsonl"), &capture);
-                }
+            if slow {
+                let capture = SlowCapture {
+                    trace: self.trace,
+                    latency_ns,
+                    status,
+                    spans,
+                    events,
+                };
+                append_slow_line(ctx, &dir.join("slow.jsonl"), &capture);
             }
         }
     }
@@ -469,9 +470,9 @@ impl Server {
             metrics: Arc::clone(&metrics),
             audit: audit.unwrap_or_else(|| Arc::new(NullSink)),
             windows: RollingWindows::new(),
-            slow: config
+            slow_threshold_ns: config
                 .slow_threshold
-                .map(|threshold| SlowLog::new(threshold, SLOW_LOG_CAP)),
+                .map(|threshold| u64::try_from(threshold.as_nanos()).unwrap_or(u64::MAX)),
             trace_dir: config.trace_dir.clone(),
             started: Instant::now(),
             active: AtomicUsize::new(0),
@@ -834,7 +835,7 @@ fn route(ctx: &Ctx, rt: &RequestTrace, request: &Request) -> Response {
 /// `POST /extract`: run record-boundary discovery on the body under the
 /// selected limits profile, with panic isolation at the request boundary.
 ///
-/// While the request is being collected (audit / trace dir / slow log),
+/// While the request is being collected (audit sink or trace dir),
 /// extraction runs its traced path through a [`ScopedSink`] that stamps
 /// the request's trace id and parents every extraction span under the
 /// `serve:worker` span — one coherent tree per request. Otherwise it runs
@@ -1495,5 +1496,29 @@ mod tests {
         assert!(first.contains("\"latency_ns\""), "{first}");
         assert!(first.contains("\"0000000000c0ffee\""), "{first}");
         let _ = std::fs::remove_dir_all(&trace_dir);
+    }
+
+    #[test]
+    fn slow_requests_are_counted_without_a_trace_dir() {
+        let (addr, handle, join) = start(ServeConfig {
+            workers: 1,
+            slow_threshold: Some(Duration::from_nanos(0)),
+            ..ServeConfig::default()
+        });
+        let html = "<html><body><h2>A</h2><p>x</p><h2>B</h2><p>y</p></body></html>";
+        let raw = format!(
+            "POST /extract HTTP/1.1\r\nContent-Length: {}\r\n\r\n{html}",
+            html.len()
+        );
+        let out = talk(addr, raw.as_bytes());
+        assert!(out.starts_with("HTTP/1.1 200 OK\r\n"), "{out}");
+        handle.trigger();
+        let report = join.join().expect("server thread");
+        assert_eq!(
+            report.metrics.counters.get("serve_requests_slow").copied(),
+            Some(1),
+            "{:?}",
+            report.metrics.counters
+        );
     }
 }

@@ -67,7 +67,7 @@ pub use export::{
 };
 pub use metrics::{Histogram, HistogramSnapshot, Registry, RegistrySnapshot, LATENCY_BOUNDS_NS};
 pub use scoped::ScopedSink;
-pub use slow::{SlowCapture, SlowLog};
+pub use slow::SlowCapture;
 pub use span::{unix_micros, Span, SpanId, SpanRecord, TraceId};
 pub use window::{RollingWindows, WindowSnapshot};
 
@@ -216,7 +216,7 @@ impl CollectingSink {
 
     /// Snapshot of the counters and histograms.
     pub fn registry_snapshot(&self) -> Json {
-        self.registry.snapshot()
+        self.registry.typed_snapshot().to_json()
     }
 
     /// The underlying registry (for direct counter reads in tests).
@@ -469,7 +469,7 @@ mod tests {
         sink.add("serve_requests", 1);
         sink.add("serve_requests", 1);
         assert_eq!(sink.registry().counter("serve_requests"), 2);
-        let snap = sink.registry().snapshot().to_compact();
+        let snap = sink.registry().typed_snapshot().to_json().to_compact();
         assert!(snap.contains("\"serve:request\""), "{snap}");
     }
 

@@ -164,8 +164,8 @@ pub struct RegistrySnapshot {
 }
 
 impl RegistrySnapshot {
-    /// JSON view in the same shape as [`Registry::snapshot`]:
-    /// `{"counters": {...}, "histograms": {...}, "bounds_ns": [...]}`.
+    /// JSON view: `{"counters": {...}, "histograms": {...}, "bounds_ns":
+    /// [...]}`, with keys in sorted order.
     #[must_use]
     pub fn to_json(&self) -> Json {
         let counters = self
@@ -247,8 +247,8 @@ impl Registry {
     }
 
     /// Typed snapshot of everything — the input format of
-    /// [`Registry::merge`]. Unlike [`Registry::snapshot`] this is data, not
-    /// JSON, so aggregation needs no parsing.
+    /// [`Registry::merge`], and through [`RegistrySnapshot::to_json`] the
+    /// JSON every metrics report prints.
     #[must_use]
     pub fn typed_snapshot(&self) -> RegistrySnapshot {
         RegistrySnapshot {
@@ -291,35 +291,6 @@ impl Registry {
         for (&name, snapshot) in &other.histograms {
             histograms.entry(name).or_default().merge(snapshot);
         }
-    }
-
-    /// Snapshot of everything:
-    /// `{"counters": {...}, "histograms": {...}, "bounds_ns": [...]}` with
-    /// keys in sorted order.
-    #[must_use]
-    pub fn snapshot(&self) -> Json {
-        let counters = self
-            .counters
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(&name, &value)| (name, Json::UInt(value)))
-            .collect::<Vec<_>>();
-        let histograms = self
-            .histograms
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(&name, histogram)| (name, histogram.snapshot().to_json()))
-            .collect::<Vec<_>>();
-        Json::object([
-            ("counters", Json::object(counters)),
-            ("histograms", Json::object(histograms)),
-            (
-                "bounds_ns",
-                Json::Array(LATENCY_BOUNDS_NS.iter().map(|&b| Json::UInt(b)).collect()),
-            ),
-        ])
     }
 }
 
@@ -428,10 +399,6 @@ mod tests {
             shared.add("jobs", 1);
         }
         assert_eq!(merged.typed_snapshot(), shared.typed_snapshot());
-        assert_eq!(
-            merged.snapshot().to_compact(),
-            shared.snapshot().to_compact()
-        );
     }
 
     #[test]
@@ -535,7 +502,7 @@ mod tests {
         registry.add("zebra", 1);
         registry.add("apple", 1);
         registry.observe("stage", 5_000);
-        let json = registry.snapshot().to_compact();
+        let json = registry.typed_snapshot().to_json().to_compact();
         let apple = json.find("\"apple\"").expect("apple present");
         let zebra = json.find("\"zebra\"").expect("zebra present");
         assert!(apple < zebra, "counters must come out sorted: {json}");

@@ -1,20 +1,15 @@
-//! Slow-request capture: full span trees and decision-audit events for
-//! latency outliers, without tracing every request.
+//! Slow-request capture: the full span tree and decision-audit events of a
+//! latency outlier, as one structured-log line.
 //!
-//! A [`SlowLog`] holds a bounded ring of [`SlowCapture`]s. The server
-//! offers every finished request's capture with its measured latency; the
-//! log keeps only those over the configured threshold, evicting the
-//! oldest entry (and counting the eviction) once full — so a week-long
-//! process stays debuggable after the fact at a fixed memory cost.
+//! A [`SlowCapture`] is one request over the server's latency threshold,
+//! with everything it traced. The server writes each as one JSON line to
+//! `slow.jsonl` under its trace directory, so a week-long process stays
+//! debuggable after the fact without holding captures in memory.
 
 use crate::event::events_to_json;
 use crate::span::SpanRecord;
 use crate::{TraceEvent, TraceId};
 use rbd_json::Json;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
-use std::time::Duration;
 
 /// One captured slow request.
 #[derive(Debug, Clone)]
@@ -46,134 +41,5 @@ impl SlowCapture {
             ),
             ("events", events_to_json(&self.events)),
         ])
-    }
-}
-
-/// Bounded ring of slow-request captures.
-#[derive(Debug)]
-pub struct SlowLog {
-    threshold_ns: u64,
-    cap: usize,
-    entries: Mutex<VecDeque<SlowCapture>>,
-    evicted: AtomicU64,
-}
-
-impl SlowLog {
-    /// A log capturing requests slower than `threshold`, keeping at most
-    /// `cap` entries (at least one).
-    #[must_use]
-    pub fn new(threshold: Duration, cap: usize) -> Self {
-        SlowLog {
-            threshold_ns: u64::try_from(threshold.as_nanos()).unwrap_or(u64::MAX),
-            cap: cap.max(1),
-            entries: Mutex::new(VecDeque::new()),
-            evicted: AtomicU64::new(0),
-        }
-    }
-
-    /// The capture threshold in nanoseconds.
-    #[must_use]
-    pub fn threshold_ns(&self) -> u64 {
-        self.threshold_ns
-    }
-
-    /// Offers a finished request. Returns `true` when it was slow enough
-    /// to keep; a full log evicts its oldest entry to make room.
-    pub fn offer(&self, capture: SlowCapture) -> bool {
-        if capture.latency_ns < self.threshold_ns {
-            return false;
-        }
-        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        if entries.len() >= self.cap {
-            entries.pop_front();
-            self.evicted.fetch_add(1, Ordering::Relaxed);
-        }
-        entries.push_back(capture);
-        true
-    }
-
-    /// The captures currently held, oldest first.
-    #[must_use]
-    pub fn entries(&self) -> Vec<SlowCapture> {
-        self.entries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// How many captures were evicted to make room.
-    #[must_use]
-    pub fn evicted(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
-    }
-
-    /// `{"threshold_ns", "evicted", "captures": [...]}`.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            ("threshold_ns", Json::UInt(self.threshold_ns)),
-            ("evicted", Json::UInt(self.evicted())),
-            (
-                "captures",
-                Json::Array(self.entries().iter().map(SlowCapture::to_json).collect()),
-            ),
-        ])
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn capture(latency_ns: u64) -> SlowCapture {
-        SlowCapture {
-            trace: TraceId::generate(),
-            latency_ns,
-            status: 200,
-            spans: vec![SpanRecord::synthetic("serve:request", latency_ns)],
-            events: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn fast_requests_are_rejected() {
-        let log = SlowLog::new(Duration::from_millis(10), 4);
-        assert!(!log.offer(capture(9_999_999)));
-        assert!(log.entries().is_empty());
-    }
-
-    #[test]
-    fn slow_requests_are_kept_with_their_spans() {
-        let log = SlowLog::new(Duration::from_millis(10), 4);
-        assert!(log.offer(capture(10_000_000)), "threshold is inclusive");
-        let entries = log.entries();
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].spans.len(), 1);
-        let json = log.to_json().to_compact();
-        assert!(json.contains("\"captures\""), "{json}");
-        assert!(json.contains("\"serve:request\""), "{json}");
-    }
-
-    #[test]
-    fn full_log_evicts_oldest_and_counts_it() {
-        let log = SlowLog::new(Duration::from_millis(1), 2);
-        let first = capture(1_000_000);
-        let first_trace = first.trace;
-        log.offer(first);
-        log.offer(capture(2_000_000));
-        log.offer(capture(3_000_000));
-        let entries = log.entries();
-        assert_eq!(entries.len(), 2);
-        assert!(entries.iter().all(|e| e.trace != first_trace));
-        assert_eq!(log.evicted(), 1);
-    }
-
-    #[test]
-    fn zero_cap_is_clamped_to_one() {
-        let log = SlowLog::new(Duration::from_millis(1), 0);
-        log.offer(capture(5_000_000));
-        assert_eq!(log.entries().len(), 1);
     }
 }

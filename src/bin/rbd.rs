@@ -74,8 +74,9 @@ Observability:
   --trace-dir DIR  (serve) write each request's span tree to
                 DIR/trace-<id>.json in Chrome trace-event format and slow
                 captures to DIR/slow.jsonl
-  --slow-ms N   (serve) keep the span tree and audit events of requests
-                slower than N milliseconds in the bounded slow log";
+  --slow-ms N   (serve) count requests taking N milliseconds or more in
+                the serve_requests_slow counter; with --trace-dir, also
+                append their span tree and audit events to DIR/slow.jsonl";
 
 struct Args {
     command: String,
@@ -511,7 +512,7 @@ fn run() -> Result<(), String> {
             if let Some(sink) = &sink {
                 merged.merge(&sink.registry().typed_snapshot());
             }
-            eprintln!("{}", merged.snapshot().to_pretty());
+            eprintln!("{}", merged.typed_snapshot().to_json().to_pretty());
         }
         return finish_observability(sink.as_ref(), args.trace.as_deref(), false);
     }

@@ -179,6 +179,26 @@ fn ontology_file_flag() {
 }
 
 #[test]
+fn builtin_ontology_flag_equals_its_shipped_file() {
+    // `--ontology <name>` compiles in `ontologies/<name>.ont`, so loading
+    // the file at run time must give the same extraction byte for byte.
+    for domain in rbd::corpus::Domain::ALL {
+        let name = domain.ontology().name;
+        let style = &rbd::corpus::sites::initial_sites(domain)[0];
+        let html = rbd::corpus::generate_document(style, domain, 0, 7).html;
+        let file = format!("ontologies/{name}.ont");
+        let (builtin, stderr, ok) =
+            run_with_stdin(&["extract", "--json", "--ontology", &name], &html);
+        assert!(ok, "{name}: {stderr}");
+        let (loaded, stderr, ok) =
+            run_with_stdin(&["extract", "--json", "--ontology-file", &file], &html);
+        assert!(ok, "{file}: {stderr}");
+        assert!(builtin.contains("\"records\""), "{name}: {builtin}");
+        assert_eq!(builtin, loaded, "{name}");
+    }
+}
+
+#[test]
 fn bad_arguments_fail_cleanly() {
     let (_, stderr, ok) = run_with_stdin(&["discover", "--ontology", "nonsense"], PAGE);
     assert!(!ok);
